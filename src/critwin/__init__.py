@@ -17,10 +17,8 @@ from .analysis import (
 )
 from .chain import (
     EpidemicTrace,
-    KernelExact,
     K_at_indices,
     csn_at_indices,
-    exact_kernel,
     exact_profile_distribution,
     q_prob,
     simulate_trace,

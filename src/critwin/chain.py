@@ -31,13 +31,11 @@ from .core import (
 
 __all__ = [
     "EpidemicTrace",
-    "KernelExact",
     "q_prob",
     "q_from_p",
     "step",
     "default_max_steps",
     "simulate_trace",
-    "exact_kernel",
     "exact_profile_distribution",
     "csn_at_indices",
     "K_at_indices",
@@ -155,33 +153,6 @@ def simulate_trace(
 
 
 _EXACT_N_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class KernelExact:
-    """Full transition table for small n: rows[(z, c)] = pmf of z' over 0..n-c."""
-
-    n: int
-    p: float
-    rows: dict
-
-    def row(self, z: int, c: int) -> np.ndarray:
-        return self.rows[(z, c)]
-
-
-def exact_kernel(n: int, p: float) -> KernelExact:
-    """Tabulate Binomial(n-c, q(n,z)) for every reachable (z, c), z > 0, c < n."""
-    if n > _EXACT_N_LIMIT:
-        raise ConfigError(
-            f"exact kernel is limited to n <= {_EXACT_N_LIMIT} (got n={n}); "
-            "use simulate_trace for larger n"
-        )
-    rows = {}
-    for c in range(n):
-        support = np.arange(n - c + 1)
-        for z in range(1, c + 1):
-            rows[(z, c)] = binom.pmf(support, n - c, q_from_p(p, z))
-    return KernelExact(n=n, p=p, rows=rows)
 
 
 def exact_profile_distribution(

@@ -139,11 +139,20 @@ def _ensure_out_dir(path: Path) -> None:
         raise IOError(f"output directory {path} is not writable: {exc}") from exc
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+
+
 def _run_replicates(replicates: int, threads: int, fn):
-    """Run fn(replicate) for each replicate, results ordered by index."""
-    if threads <= 1:
+    """Run fn(replicate) for each replicate, results ordered by index.
+
+    The pool holds at most min(threads, replicates, cpu count) workers.
+    """
+    workers = min(threads, replicates, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(replicates)))
 
 
@@ -161,6 +170,7 @@ def _report_run(out_dir: Path, command: str, config: dict, outputs, t_start: flo
 
 
 def cmd_simulate_graph(args) -> int:
+    _check_threads(args.threads)
     config = _resolve_config(args)
     _ensure_out_dir(args.out)
     t_start = time.monotonic()
@@ -193,6 +203,7 @@ def cmd_simulate_graph(args) -> int:
 
 
 def cmd_simulate_chain(args) -> int:
+    _check_threads(args.threads)
     config = _resolve_config(args)
     _ensure_out_dir(args.out)
     t_start = time.monotonic()
@@ -215,6 +226,7 @@ def cmd_simulate_chain(args) -> int:
 
 
 def cmd_continuum(args) -> int:
+    _check_threads(args.threads)
     if args.dt <= 0:
         raise ConfigError(f"--dt must be > 0, got {args.dt}")
     if args.t_max < args.dt:

@@ -5,12 +5,21 @@ times, and the deterministic curves of the drifting-window regime.
 Two independent simulation routes exist for the same law and are compared
 statistically by the verification suites:
 
-* `simulate_sde` -- full-truncation Euler-Maruyama for
+* `sde_ensemble` (one recorded path: `simulate_sde`) -- full-truncation
+  Euler-Maruyama for
       dZ = sqrt(Z) dW + (lam - C) Z dt,  dC = Z dt,  Z(0) = x,
   absorbed at zero;
-* `lamperti_route` -- simulate X(t) = B(t) + lam*t - t**2/2 on its own grid,
-  then integrate the time change dC/dt = x + X(C) and read Z = x + X(C),
-  stopping when C reaches the first time x + X hits zero.
+* `lamperti_marginals` (one recorded path: `lamperti_route`) -- simulate
+  X(t) = B(t) + lam*t - t**2/2 on its own grid, then integrate the time
+  change dC/dt = x + X(C) and read Z = x + X(C), stopping when C reaches the
+  first time x + X hits zero.
+
+X is generated in one place, `_first_passage`, which also finds the first
+passage of x + X to zero for the Lamperti route and the hitting times.  One
+crossing convention holds throughout: a crossing seen on the grid is placed
+by linear interpolation inside its cell, and a crossing between grid points
+detected by the Brownian-bridge test (probability exp(-2ab/dt) for a cell
+with positive endpoints a, b) is placed at the cell midpoint.
 
 Drift is always applied analytically on the grid; only the Brownian part is
 sampled.  Ensemble variants are vectorized across paths and draw from a
@@ -73,7 +82,7 @@ class SdePath:
 
 @dataclass(frozen=True)
 class HittingSample:
-    """First grid time at which x + X drops to zero or below."""
+    """First passage time of x + X to zero; see `_first_passage`."""
 
     T: float
     truncated: bool
@@ -81,6 +90,78 @@ class HittingSample:
 
 def _drift(lam: float, t: np.ndarray) -> np.ndarray:
     return lam * t - 0.5 * t * t
+
+
+_BLOCK = 2_000_000  # standard normals drawn per block, across live paths
+_CHUNK = 256  # paths per stored X grid in `lamperti_marginals`
+
+
+def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
+                   bridge: bool = True, keep: bool = False):
+    """X on the grid 0, dt, ..., m*dt, one block of columns at a time, and the
+    first passage of x + X to zero; (t_cross, truncated, grid).
+
+    Each block draws a (live paths, columns) array of standard normals and,
+    when ``x`` is given, a same-shaped array of bridge uniforms; the running
+    sum of the normals is carried across block edges.  A path retires after
+    the block in which x + X reaches zero on the grid, so the live set and
+    the draws are the same whether ``bridge`` is on or off.  The earliest
+    event is kept: a grid crossing placed by linear interpolation inside its
+    cell or, with ``bridge``, a cell with positive endpoints a, b crossing
+    with probability exp(-2ab/dt), placed at the cell midpoint; the bridge
+    test removes the O(sqrt(dt)) late bias of grid-only detection.  Paths
+    with no event are truncated at m*dt.
+
+    With ``x=None`` there is no crossing test: no uniforms are drawn and
+    every path runs to m.  With ``keep`` the (n_paths, last + 1) matrix of X
+    up to the last generated column is returned (cells of a retired path
+    after its last block are left unset), else None.
+    """
+    sq = math.sqrt(dt)
+    t_cross = np.full(n_paths, np.inf)
+    walk_end = np.zeros(n_paths)  # sum of the normals at the block's left edge
+    s_end = np.full(n_paths, np.nan if x is None else float(x))  # x + X there
+    grid = np.empty((n_paths, m + 1)) if keep else None
+    if keep:
+        grid[:, 0] = 0.0
+    live = np.arange(n_paths)
+    hi = 0
+    while hi < m and live.size:
+        lo, hi = hi, min(m, hi + max(1, _BLOCK // live.size))
+        walk = np.empty((live.size, hi - lo + 1))
+        walk[:, 0] = walk_end[live]
+        walk[:, 1:] = rng.standard_normal((live.size, hi - lo))
+        np.cumsum(walk, axis=1, out=walk)
+        walk_end[live] = walk[:, -1]
+        xb = walk[:, 1:] * sq + _drift(lam, np.arange(lo + 1, hi + 1) * dt)
+        if keep:
+            grid[live, lo + 1 : hi + 1] = xb
+        if x is None:
+            continue
+        u = rng.random(xb.shape)
+        s = walk  # reused: x + X on the block's columns, left edge included
+        s[:, 0] = s_end[live]
+        np.add(x, xb, out=s[:, 1:])
+        s_end[live] = s[:, -1]
+        t_new = np.full(live.size, np.inf)
+        neg = s[:, 1:] <= 0.0
+        crossed = neg.any(axis=1)
+        r = np.flatnonzero(crossed)
+        j = np.argmax(neg[r], axis=1)
+        a, b = s[r, j], s[r, j + 1]
+        t_new[r] = (lo + j + a / (a - b)) * dt
+        if bridge:
+            left, right = s[:, :-1], s[:, 1:]
+            prob = np.exp(-2.0 * np.clip(left * right, 0.0, None) / dt)
+            fired = (left > 0.0) & (right > 0.0) & (u < prob)
+            r = np.flatnonzero(fired.any(axis=1))
+            t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
+            t_new[r] = np.minimum(t_new[r], t_fire)
+        t_cross[live] = np.minimum(t_cross[live], t_new)
+        live = live[~crossed]
+    truncated = np.isinf(t_cross)
+    t_cross[truncated] = m * dt
+    return t_cross, truncated, None if grid is None else grid[:, : hi + 1]
 
 
 def sample_parabolic_bm(
@@ -95,15 +176,8 @@ def sample_parabolic_bm(
         raise ValueError("an RngStream is required")
     if not (dt > 0 and t_max >= dt):
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
-    m = int(round(t_max / dt))
-    values = np.empty(m + 1)
-    values[0] = 0.0
-    np.cumsum(rng.standard_normal(m), out=values[1:])
-    values[1:] *= math.sqrt(dt)
-    t = np.arange(1, m + 1) * dt
-    values[1:] += _drift(lam, t)
-    values += x_offset
-    return ParabolicBMPath(dt=dt, lam=lam, x_offset=x_offset, values=values)
+    _, _, grid = _first_passage(None, lam, dt, int(round(t_max / dt)), 1, rng, keep=True)
+    return ParabolicBMPath(dt=dt, lam=lam, x_offset=x_offset, values=grid[0] + x_offset)
 
 
 def simulate_sde(
@@ -113,38 +187,14 @@ def simulate_sde(
     t_max: float = 1.0,
     rng: RngStream | None = None,
 ) -> SdePath:
-    """Full-truncation Euler-Maruyama path of (Z, C), absorbed at zero.
-
-    Z[i+1] = Z[i] + sqrt(Z[i]+) sqrt(dt) N + (lam - C[i]) Z[i]+ dt and
-    C[i+1] = C[i] + Z[i]+ dt; at the first Z[i+1] <= 0 the path is absorbed
-    (Z set to 0, C frozen).
-    """
+    """One recorded `sde_ensemble` path of (Z, C) on the grid 0, dt, ..., ~t_max."""
     if rng is None:
         raise ValueError("an RngStream is required")
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
     if not (dt > 0 and t_max >= dt):
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
-    m = int(round(t_max / dt))
-    z = np.zeros(m + 1)
-    c = np.zeros(m + 1)
-    z[0] = x
-    sq = math.sqrt(dt)
-    noise = rng.standard_normal(m)
-    zi, ci = float(x), 0.0
-    absorbed_at = None
-    for i in range(m):
-        zpos = zi if zi > 0.0 else 0.0
-        znext = zi + math.sqrt(zpos) * sq * noise[i] + (lam - ci) * zpos * dt
-        ci = ci + zpos * dt
-        if znext <= 0.0:
-            c[i + 1 :] = ci
-            absorbed_at = i + 1
-            break
-        zi = znext
-        z[i + 1] = zi
-        c[i + 1] = ci
-    return SdePath(dt=dt, z=z, c=c, absorbed_at=absorbed_at)
+    _, _, absorbed_at, z, c = sde_ensemble(x, lam, dt, int(round(t_max / dt)), rng, record=True)
+    ab = int(absorbed_at[0])
+    return SdePath(dt=dt, z=z[0], c=c[0], absorbed_at=None if ab < 0 else ab)
 
 
 def sde_ensemble(
@@ -154,17 +204,21 @@ def sde_ensemble(
     n_steps: int,
     rng: RngStream,
     c0=None,
+    record: bool = False,
 ):
-    """Vectorized Euler-Maruyama over paths; same scheme as `simulate_sde`.
+    """Full-truncation Euler-Maruyama for (Z, C), vectorized over paths.
 
-    ``z0``, ``lam``, ``c0`` broadcast across paths (per-path drift parameters
-    are what the self-similarity restart needs).  Absorbed paths drop out of
-    the update loop.  Returns (z_final, c_final, absorbed_at) with
-    absorbed_at = -1 for paths alive at the horizon.
+    Z[i+1] = Z[i] + sqrt(Z[i]) sqrt(dt) N + (lam - C[i]) Z[i] dt and
+    C[i+1] = C[i] + Z[i] dt; at the first Z[i+1] <= 0 a path is absorbed
+    (Z set to 0, C frozen) and drops out of the update loop.  ``z0``,
+    ``lam``, ``c0`` broadcast across paths (per-path drift parameters are
+    what the self-similarity restart needs).  Returns (z_final, c_final,
+    absorbed_at) with absorbed_at = -1 for paths alive at the horizon; with
+    ``record``, also the (paths, n_steps + 1) grids of Z and C.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     n = z0.size
-    if np.any(z0 <= 0):
+    if not np.all(z0 > 0):
         raise ValueError("all starting values must be > 0")
     lam_v = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,)).copy()
     c_v = (
@@ -175,6 +229,11 @@ def sde_ensemble(
     z_final = np.zeros(n)
     c_final = np.zeros(n)
     absorbed_at = np.full(n, -1, dtype=np.int64)
+    if record:
+        z_path = np.zeros((n, n_steps + 1))
+        c_path = np.zeros((n, n_steps + 1))
+        z_path[:, 0] = z0
+        c_path[:, 0] = c_v
     alive = np.arange(n)
     za, ca, la = z0.copy(), c_v, lam_v
     sq = math.sqrt(dt)
@@ -188,69 +247,20 @@ def sde_ensemble(
             idx = alive[dead]
             c_final[idx] = ca[dead]
             absorbed_at[idx] = i
+            if record:
+                c_path[idx, i:] = ca[dead, None]
             keep = ~dead
             za, ca, la, alive = za[keep], ca[keep], la[keep], alive[keep]
             if za.size == 0:
                 break
+        if record:
+            z_path[alive, i] = za
+            c_path[alive, i] = ca
     z_final[alive] = za
     c_final[alive] = ca
+    if record:
+        return z_final, c_final, absorbed_at, z_path, c_path
     return z_final, c_final, absorbed_at
-
-
-def _parabolic_matrix(lam: float, dt: float, m: int, n_paths: int, rng: RngStream):
-    """(n_paths, m+1) matrix of X values on the grid."""
-    x = np.empty((n_paths, m + 1))
-    x[:, 0] = 0.0
-    noise = rng.standard_normal((n_paths, m))
-    np.cumsum(noise, axis=1, out=x[:, 1:])
-    x[:, 1:] *= math.sqrt(dt)
-    t = np.arange(1, m + 1) * dt
-    x[:, 1:] += _drift(lam, t)
-    return x
-
-
-def _first_crossing(x: float, xmat: np.ndarray, dt: float, rng: RngStream | None = None):
-    """First root of x + X per path; (times, truncated).
-
-    Grid crossings are refined by linear interpolation inside the crossing
-    cell.  When a stream is supplied, between-grid crossings are additionally
-    detected with the Brownian-bridge probability exp(-2ab/dt) on every cell
-    with positive endpoints (placed at the cell midpoint), removing the
-    O(sqrt(dt)) late bias of grid-only detection.
-    """
-    s = x + xmat
-    neg = s <= 0.0
-    hit = neg.any(axis=1)
-    first = np.argmax(neg, axis=1)
-    first[~hit] = 1  # placeholder, masked out below
-    rows = np.arange(s.shape[0])
-    a = s[rows, first - 1]
-    b = s[rows, first]
-    denom = np.where(a - b != 0.0, a - b, 1.0)
-    t_cross = (first - 1 + a / denom) * dt
-    t_cross[~hit] = np.inf
-    if rng is not None:
-        m = s.shape[1] - 1
-        block = max(1, 4_000_000 // s.shape[0])
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            left = s[:, lo:hi]
-            right = s[:, lo + 1 : hi + 1]
-            interior = (left > 0.0) & (right > 0.0)
-            prob = np.exp(-2.0 * np.clip(left * right, 0.0, None) / dt)
-            fired = interior & (rng.random(left.shape) < prob)
-            any_fired = fired.any(axis=1)
-            if not any_fired.any():
-                continue
-            col = np.argmax(fired, axis=1)
-            t_fire = (lo + col + 0.5) * dt
-            t_cross = np.where(any_fired, np.minimum(t_cross, t_fire), t_cross)
-            if np.all(t_cross <= hi * dt):
-                break
-        hit = np.isfinite(t_cross)
-    truncated = ~hit
-    t_cross[truncated] = (s.shape[1] - 1) * dt
-    return t_cross, truncated
 
 
 def _time_change(x, dt, n_steps, xmat, t_cross, record=False):
@@ -260,7 +270,9 @@ def _time_change(x, dt, n_steps, xmat, t_cross, record=False):
     its crossing time, or once Z falls to one step's worth of mass (<= dt).
     Past that resolution the piecewise-linear interpolant only crawls toward
     a crossing it cannot resolve, while the rough continuum path would absorb
-    within O(sqrt(dt)) extra time.
+    within O(sqrt(dt)) extra time.  Since t_cross is at or before a path's
+    first grid crossing, C stays clear of the cells `_first_passage` leaves
+    unset, which all lie past that crossing.
     """
     cn = xmat.shape[0]
     m = xmat.shape[1] - 1
@@ -323,8 +335,8 @@ def lamperti_route(
 ) -> SdePath:
     """Single (Z, C) path built by time-changing a parabolic-drift path.
 
-    The X grid spans ``grid_t_max`` (default: generously past the hitting
-    time) with the same step dt as the time-change integration.
+    The X grid spans at most ``grid_t_max`` (default: generously past the
+    hitting time) with the same step dt as the time-change integration.
     """
     if rng is None:
         raise ValueError("an RngStream is required")
@@ -332,12 +344,9 @@ def lamperti_route(
         raise ValueError(f"need x > 0, got {x}")
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
-    m = int(round(grid_t_max / dt))
-    xmat = _parabolic_matrix(lam, dt, m, 1, rng)
-    t_cross, _truncated = _first_crossing(x, xmat, dt, rng)
-    n_steps = int(round(t_max / dt))
+    t_cross, _, xmat = _first_passage(x, lam, dt, int(round(grid_t_max / dt)), 1, rng, keep=True)
     _, _, absorbed_at, z_path, c_path = _time_change(
-        x, dt, n_steps, xmat, t_cross, record=True
+        x, dt, int(round(t_max / dt)), xmat, t_cross, record=True
     )
     ab = int(absorbed_at[0])
     return SdePath(
@@ -353,12 +362,11 @@ def lamperti_marginals(
     n_paths: int,
     rng: RngStream,
     grid_t_max: float | None = None,
-    chunk: int = 256,
 ):
     """Time-change route marginals at t_max for an ensemble of paths.
 
-    Returns (z, c, t_cross, truncated); paths are processed in chunks to
-    bound the stored X-grid memory.
+    Returns (z, c, t_cross, truncated); paths are processed in chunks of
+    ``_CHUNK`` to bound the stored X-grid memory.
     """
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
@@ -368,15 +376,11 @@ def lamperti_marginals(
     c_out = np.empty(n_paths)
     t_out = np.empty(n_paths)
     trunc_out = np.zeros(n_paths, dtype=bool)
-    done = 0
-    while done < n_paths:
-        cn = min(chunk, n_paths - done)
-        xmat = _parabolic_matrix(lam, dt, m, cn, rng)
-        t_cross, truncated = _first_crossing(x, xmat, dt, rng)
-        zf, cf, _ = _time_change(x, dt, n_steps, xmat, t_cross)
-        sl = slice(done, done + cn)
-        z_out[sl], c_out[sl], t_out[sl], trunc_out[sl] = zf, cf, t_cross, truncated
-        done += cn
+    for lo in range(0, n_paths, _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, n_paths))
+        t_cross, truncated, xmat = _first_passage(x, lam, dt, m, sl.stop - lo, rng, keep=True)
+        z_out[sl], c_out[sl], _ = _time_change(x, dt, n_steps, xmat, t_cross)
+        t_out[sl], trunc_out[sl] = t_cross, truncated
     return z_out, c_out, t_out, trunc_out
 
 
@@ -391,44 +395,15 @@ def hitting_ensemble(
 ):
     """First passage of x + X to zero for an ensemble; (T, truncated).
 
-    Crossings are detected on the grid; with ``bridge`` enabled an interval
-    with positive endpoints a, b additionally registers a crossing with the
-    Brownian-bridge probability exp(-2ab/dt).  The same draws are consumed
-    either way, so runs with the flag on and off couple pathwise under a
+    See `_first_passage` for the crossing rule; the same draws are consumed
+    with ``bridge`` on or off, so the two runs couple pathwise under a
     common stream.
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
-    m = int(round(t_max / dt))
-    va = np.full(n_paths, float(x))
-    t_hit = np.full(n_paths, np.nan)
-    done = np.zeros(n_paths, dtype=bool)
-    sq = math.sqrt(dt)
-    block = max(1, min(m, 2_000_000 // max(n_paths, 1)))
-    i = 0
-    while i < m:
-        nb = min(block, m - i)
-        noise = rng.standard_normal((nb, n_paths))
-        bridge_u = rng.random((nb, n_paths))
-        for j in range(nb):
-            t_prev = (i + j) * dt
-            t_cur = t_prev + dt
-            vb = va + noise[j] * sq + lam * dt - 0.5 * (t_cur * t_cur - t_prev * t_prev)
-            hit = vb <= 0.0
-            if bridge:
-                interior = ~hit & (va > 0.0)
-                cross_p = np.exp(-2.0 * np.clip(va * vb, 0.0, None) / dt)
-                hit |= interior & (bridge_u[j] < cross_p)
-            newly = hit & ~done
-            if newly.any():
-                t_hit[newly] = t_cur
-                done |= newly
-            va = vb
-        if done.all():
-            break
-        i += nb
-    truncated = ~done
-    t_hit[truncated] = m * dt
+    t_hit, truncated, _ = _first_passage(
+        x, lam, dt, int(round(t_max / dt)), n_paths, rng, bridge=bridge
+    )
     return t_hit, truncated
 
 

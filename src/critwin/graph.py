@@ -176,6 +176,8 @@ def explore_from_roots(graph: GraphSample, roots) -> Exploration:
     k = roots.size
     if k < 1 or k > graph.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
+    if np.unique(roots).size != k:
+        raise ValueError("roots must be distinct")
     n = graph.n
     height = np.full(n, -1, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)

@@ -44,6 +44,7 @@ from .continuum import (
 from .core import (
     AldousWindow,
     GeneralWindow,
+    InvalidWindowError,
     RunConfig,
     edge_probability,
     make_stream,
@@ -141,14 +142,19 @@ def suite_identities(seed: int | None = None, samples: int = 1000, **_) -> Compa
     rng = make_stream(seed, 0, "identities")
     failures = 0
     for i in range(samples):
-        n = int(rng.integers(2, 201))
-        k = int(rng.integers(1, n + 1))
-        lam = float(rng.uniform(-1.0, 2.0))
-        if i % 2 == 0:
-            window = AldousWindow(lam=lam)
-        else:
-            window = GeneralWindow(lam=lam, epsilon=float(rng.uniform(0.02, 0.5)))
-        p = edge_probability(window, n)
+        while True:  # redraw the few (n, window) pairs whose p falls outside (0, 1)
+            n = int(rng.integers(2, 201))
+            k = int(rng.integers(1, n + 1))
+            lam = float(rng.uniform(-1.0, 2.0))
+            if i % 2 == 0:
+                window = AldousWindow(lam=lam)
+            else:
+                window = GeneralWindow(lam=lam, epsilon=float(rng.uniform(0.02, 0.5)))
+            try:
+                p = edge_probability(window, n)
+                break
+            except InvalidWindowError:
+                pass
         g = sample_graph(n, p, rng)
         expl = explore(g, k, rng)
         series = cousin_series(expl)

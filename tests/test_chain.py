@@ -9,7 +9,6 @@ from critwin import (
     ConfigError,
     GeneralWindow,
     RunConfig,
-    exact_kernel,
     exact_profile_distribution,
     make_stream,
     q_prob,
@@ -122,12 +121,6 @@ def test_default_max_steps():
     assert default_max_steps(RunConfig(n=1000, x=1.0, window=AldousWindow(0.0))) == 500
     cfg = RunConfig(n=10**6, x=1.0, window=GeneralWindow(lam=0.0, epsilon=0.05))
     assert default_max_steps(cfg) == 1000
-
-
-def test_exact_kernel_rows_sum_to_one():
-    kern = exact_kernel(8, 0.23)
-    for row in kern.rows.values():
-        assert abs(row.sum() - 1.0) < 1e-12
 
 
 def test_exact_profile_single_edge():

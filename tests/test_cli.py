@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from critwin import cli
 from critwin.cli import main
 from critwin import AldousWindow, RunConfig, make_stream, simulate_trace
 
@@ -201,6 +202,77 @@ def test_continuum_sde_and_hitting(tmp_path, capsys):
     lines = (tmp_path / "h" / "hitting.csv").read_text().splitlines()
     assert lines[0] == "replicate,T,truncated"
     assert len(lines) == 4
+
+
+# SHA-256 of every CSV of two small single-path runs, recorded before these
+# routes were rebuilt on the ensemble kernels (`sde_ensemble` in record mode,
+# the blockwise Brownian generator without a crossing test).
+GOLDEN = {
+    ("sde", "0.5", "2"): {
+        "sde_0000.csv": "c2588b360dc6bea344ddcfb30dd2a4f38c35bcd24b7c61a8395cde705928c4ea",
+        "sde_0001.csv": "f7e67f12014ae16bed485c39d15747c02846394926937eccad648c50d557c063",
+        "sde_0002.csv": "50dcb4e4f0d3d3bc70e4e04d8bc14435561f5f1e9aee49f365141e37ba246aaf",
+    },
+    ("parabolic", "1", "1"): {
+        "parabolic_0000.csv": "6b301e2e2c323f2bd14e8fe06532cc06ac7f6e7a0a370f27a87f7b6d7e819acc",
+        "parabolic_0001.csv": "f7956afedc2e4ec6f213aa0c93b66987cc4a421e84ace6071c885b27bda968d9",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_continuum_single_path_digests_are_golden(tmp_path, capsys, key):
+    kind, x, t_max = key
+    code, stdout, _ = run_cli(
+        capsys,
+        "continuum", "--kind", kind, "--x", x, "--lambda", "0.5", "--dt", "1e-3",
+        "--t-max", t_max, "--seed", "7", "--replicates", str(len(GOLDEN[key])),
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    assert json.loads(stdout)["outputs"] == GOLDEN[key]
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate-graph", "--n", "50", "--x", "1.0"),
+    ("simulate-chain", "--n", "50", "--x", "1.0"),
+    ("continuum", "--kind", "sde"),
+])
+def test_threads_below_one_exits_one_before_any_work(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, *command, "--threads", "0", "--out", str(out))
+    assert code == 1
+    assert "--threads" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_thread_pool_capped_by_replicates_and_cpus(tmp_path, capsys, monkeypatch):
+    requested = []
+
+    class RecordingPool:  # runs serially; no thread is started
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    for threads, replicates in (("64", "3"), ("64", "6"), ("2", "6"), ("3", "1")):
+        code, _, _ = run_cli(
+            capsys,
+            "simulate-chain", "--n", "50", "--x", "1.0", "--replicates", replicates,
+            "--threads", threads, "--out", str(tmp_path / f"{threads}-{replicates}"),
+        )
+        assert code == 0
+    assert requested == [3, 4, 2]  # a single worker runs serially without a pool
 
 
 def test_continuum_bad_dt_exits_one(tmp_path, capsys):

@@ -17,7 +17,8 @@ from critwin import (
     self_similarity_test,
     simulate_sde,
 )
-from critwin.continuum import InsufficientSampleError
+from critwin import continuum
+from critwin.continuum import InsufficientSampleError, _first_passage, _time_change
 from critwin.verify import rk4_curve_max_error
 
 
@@ -87,6 +88,57 @@ def test_sde_ensemble_matches_single_path_scheme():
     path = simulate_sde(1.0, 0.5, 1e-3, 1.0, rng2)
     assert z1[0] == pytest.approx(path.z[-1], rel=1e-12)
     assert c1[0] == pytest.approx(path.c[-1], rel=1e-12)
+
+
+def test_sde_record_mode_matches_final_state():
+    z0 = np.array([0.05, 0.5, 1.0, 2.0])
+    zf, cf, ab = sde_ensemble(z0, 0.0, 1e-3, 2000, make_stream(25, 0, "sde"))
+    zr, cr, abr, z, c = sde_ensemble(z0, 0.0, 1e-3, 2000, make_stream(25, 0, "sde"), record=True)
+    assert np.array_equal(zf, zr) and np.array_equal(cf, cr) and np.array_equal(ab, abr)
+    assert np.array_equal(z[:, 0], z0) and np.array_equal(z[:, -1], zf)
+    assert np.array_equal(c[:, -1], cf)
+    for row, at in enumerate(ab):
+        if at >= 0:
+            assert np.all(z[row, at:] == 0.0) and np.all(c[row, at:] == cf[row])
+
+
+def test_blockwise_generation_carries_the_walk(monkeypatch):
+    args = (0.5, 1.0, 1e-3, 1.0)
+    whole = sample_parabolic_bm(*args, make_stream(24, 0, "pb")).values
+    monkeypatch.setattr(continuum, "_BLOCK", 7)
+    blocks = sample_parabolic_bm(*args, make_stream(24, 0, "pb")).values
+    assert np.array_equal(whole, blocks)
+
+
+def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
+    # small blocks put many crossings near block edges; each must be the
+    # interpolated root in the first cell where x + X reaches zero
+    monkeypatch.setattr(continuum, "_BLOCK", 64)
+    x, dt = 1.0, 1e-2
+    t, truncated, grid = _first_passage(
+        x, 0.0, dt, 1200, 16, make_stream(26, 0, "h"), bridge=False, keep=True
+    )
+    assert not truncated.any()
+    s = x + grid
+    rows = np.arange(16)
+    j = np.argmax(s <= 0.0, axis=1)
+    a, b = s[rows, j - 1], s[rows, j]
+    assert np.allclose(t, (j - 1 + a / (a - b)) * dt, rtol=0, atol=1e-12)
+
+
+def test_time_change_reads_only_generated_segment():
+    # poison every cell after each path's first grid crossing, which covers
+    # the cells left unset after the path retired; run far past absorption
+    x, dt = 1.0, 1e-3
+    t_cross, truncated, grid = _first_passage(
+        x, 0.0, dt, 12_000, 200, make_stream(23, 0, "tc"), keep=True
+    )
+    assert not truncated.any()
+    first = np.argmax(x + grid <= 0.0, axis=1)
+    grid[np.arange(grid.shape[1]) > first[:, None]] = np.nan
+    z, c, _ = _time_change(x, dt, int(round(20.0 / dt)), grid, t_cross)
+    assert not np.isnan(z).any()
+    assert not np.isnan(c).any()
 
 
 def test_lamperti_route_starts_at_x():

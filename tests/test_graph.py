@@ -13,7 +13,7 @@ from critwin import (
     sample_graph,
 )
 from critwin.graph import graph_from_edges
-from critwin.verify import exhaustive_profile_distribution, total_variation
+from critwin.verify import exhaustive_profile_distribution, run_suite, total_variation
 
 
 def path_graph():
@@ -86,6 +86,12 @@ def test_explore_complete_graph_single_root():
     series = cousin_series(expl)
     assert series.Z.tolist() == [1, 3]
     assert expl.a_total == 4
+
+
+def test_explore_rejects_duplicate_roots():
+    g = sample_graph(4, 1.0, make_stream(1, 0, "g"))
+    with pytest.raises(ValueError, match="distinct"):
+        explore_from_roots(g, [2, 0, 2])
 
 
 def test_explore_roots_uniform_without_replacement():
@@ -202,6 +208,13 @@ def test_multisource_heights_match_min_over_roots():
             best = min((d.get(v, np.inf) for d in per_root), default=np.inf)
             got = expl.height[v]
             assert (got == -1 and best == np.inf) or got == best
+
+
+@pytest.mark.parametrize("seed", [4, 6, 7])
+def test_identities_suite_skips_windows_with_p_out_of_range(seed):
+    # these seeds draw n=2 with lam > 1.26 in the Aldous window (p > 1)
+    report = run_suite("identities", seed=seed)
+    assert report.passed and report.statistic == 0.0
 
 
 def test_exploration_identities_random_graphs():
