@@ -20,9 +20,7 @@ from .chain import (
     K_at_indices,
     csn_at_indices,
     exact_profile_distribution,
-    q_prob,
     simulate_trace,
-    step,
 )
 from .continuum import (
     DeterministicLimit,

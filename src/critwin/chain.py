@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import (
     AldousWindow,
@@ -31,9 +30,7 @@ from .core import (
 
 __all__ = [
     "EpidemicTrace",
-    "q_prob",
     "q_from_p",
-    "step",
     "default_max_steps",
     "simulate_trace",
     "exact_profile_distribution",
@@ -78,27 +75,6 @@ def q_from_p(p: float, z: int) -> float:
     if z == 0:
         return 0.0
     return -math.expm1(z * math.log1p(-p))
-
-
-def q_prob(window: CriticalWindow, n: int, z: int) -> float:
-    """Per-generation infection probability for z infectives in the window."""
-    if not 0 <= z <= n:
-        raise ValueError(f"need 0 <= z <= n, got z={z}, n={n}")
-    return q_from_p(edge_probability(window, n), z)
-
-
-def step(
-    state: tuple[int, int], window: CriticalWindow, n: int, rng: RngStream
-) -> tuple[int, int]:
-    """One kernel transition (z, c) -> (z', c + z')."""
-    z, c = state
-    if not (0 <= z <= c <= n):
-        raise ValueError(f"state out of range: z={z}, c={c}, n={n}")
-    if z == 0 or c >= n:
-        return (0, c)
-    q = q_prob(window, n, z)
-    z2 = int(rng.binomial(n - c, q))
-    return (z2, c + z2)
 
 
 def default_max_steps(config: RunConfig) -> int:
@@ -176,7 +152,8 @@ def exact_profile_distribution(
 
     @lru_cache(maxsize=None)
     def pmf_row(m: int, z: int) -> tuple:
-        return tuple(binom.pmf(np.arange(m + 1), m, q_from_p(p, z)))
+        q = q_from_p(p, z)
+        return tuple(math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1))
 
     out: dict = {}
     stack = [((k,), k, k, 1.0)]

@@ -227,6 +227,8 @@ def cmd_simulate_chain(args) -> int:
 
 def cmd_continuum(args) -> int:
     _check_threads(args.threads)
+    if args.replicates < 1:
+        raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
     if args.dt <= 0:
         raise ConfigError(f"--dt must be > 0, got {args.dt}")
     if args.t_max < args.dt:
@@ -253,16 +255,17 @@ def cmd_continuum(args) -> int:
         artifacts.write_deterministic_csv(path, grid, limit)
         outputs.append(path)
     elif args.kind == "hitting":
-        times = []
-        truncs = []
-        for r in range(args.replicates):
-            sample = sample_hitting_time(
+        samples = _run_replicates(
+            args.replicates,
+            args.threads,
+            lambda r: sample_hitting_time(
                 args.x, args.lam, args.dt, args.t_max, make_stream(seed, r, "hitting")
-            )
-            times.append(sample.T)
-            truncs.append(sample.truncated)
+            ),
+        )
         path = args.out / "hitting.csv"
-        artifacts.write_hitting_csv(path, times, truncs)
+        artifacts.write_hitting_csv(
+            path, [s.T for s in samples], [s.truncated for s in samples]
+        )
         outputs.append(path)
     else:
 
@@ -301,9 +304,14 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.config:
         values = parse_config_file(args.config)
-        if seed is None and values.get("seed") is not None:
-            seed = values["seed"]
-        if values.get("replicates") is not None:
+        extra = sorted(set(values) - {"seed", "replicates"})
+        if extra:
+            raise ConfigError(
+                f"verify --config takes only seed and replicates, got {', '.join(extra)}"
+            )
+        if seed is None:
+            seed = values.get("seed")
+        if "replicates" in values:
             kwargs["replicates"] = values["replicates"]
     if seed is None:
         seed = _env_seed()
@@ -329,7 +337,7 @@ def cmd_verify(args) -> int:
         artifacts.write_manifest(
             args.out,
             f"verify-{args.suite}",
-            {"suite": args.suite, "seed": seed},
+            {"suite": args.suite, "seed": report.seed},
             outputs,
             time.monotonic() - t_start,
         )

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import CriticalWindow, GeneralWindow, edge_probability
 
@@ -84,6 +83,8 @@ def kappa_oracle(n: int, z: int, c: int, window: CriticalWindow) -> float:
         raise ValueError(f"need 0 <= z, c <= n; got z={z}, c={c}, n={n}")
     if z == 0:
         return 0.0
+    from scipy.stats import binom
+
     p = edge_probability(window, n)
     q = -math.expm1(z * math.log1p(-p))
     support = np.arange(m + 1)

@@ -16,11 +16,18 @@ Suite map (name -> what is checked, tolerances pinned here):
   conjecture    (exploratory, never gates) rescaled all-components walk vs
                 lam t - t**2/2
 
+Every suite is a function of its seed alone: its sizes and tolerances are
+literals in its body.  The only other knob is ``replicates`` on cousin,
+klimit, components and conjecture.  `run_suite` resolves the seed and
+rejects any keyword the suite does not take.
+
 Only this module and the tests hold expected values; library modules never
 grade themselves.
 """
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import math
 from functools import lru_cache
@@ -43,6 +50,7 @@ from .continuum import (
 )
 from .core import (
     AldousWindow,
+    ConfigError,
     GeneralWindow,
     InvalidWindowError,
     RunConfig,
@@ -112,7 +120,7 @@ def exhaustive_profile_distribution(n: int, k: int, p: float) -> dict:
     return out
 
 
-def suite_kernel(seed: int | None = None, **_) -> ComparisonReport:
+def suite_kernel(seed: int) -> ComparisonReport:
     """Chain kernel vs exhaustive graph enumeration, small n, exact."""
     worst = 0.0
     combos = []
@@ -136,9 +144,9 @@ def suite_kernel(seed: int | None = None, **_) -> ComparisonReport:
     )
 
 
-def suite_identities(seed: int | None = None, samples: int = 1000, **_) -> ComparisonReport:
+def suite_identities(seed: int) -> ComparisonReport:
     """Combinatorial identities, exact, on random explorations (both windows)."""
-    seed = DEFAULT_SEED if seed is None else seed
+    samples = 1000
     rng = make_stream(seed, 0, "identities")
     failures = 0
     for i in range(samples):
@@ -189,7 +197,7 @@ def moments_sweep():
     )
 
 
-def suite_moments(seed: int | None = None, **_) -> ComparisonReport:
+def suite_moments(seed: int) -> ComparisonReport:
     """Decay slopes of the moment-deviation sups across four decades of n."""
     sweep = moments_sweep()
     slope_mu, se_mu = sweep.slopes["mu_dev"]
@@ -214,34 +222,20 @@ def suite_moments(seed: int | None = None, **_) -> ComparisonReport:
     )
 
 
-def _aldous_chain_stats(seed: int, n: int, x: float, lam: float, reps: int):
-    """Per-replicate chain Z at rescaled time 1 and the total infected count."""
-    cfg = RunConfig(n=n, x=x, window=AldousWindow(lam), seed=seed, replicates=reps)
-    _, time_scale = scale_pair("aldous", "Z", n)
-    h_at_t1 = int(round(1.0 / time_scale))
-    z_at = np.empty(reps)
-    total = np.empty(reps)
-    for r in range(reps):
-        tr = simulate_trace(cfg, rng=make_stream(seed, r, "chain"))
-        z_at[r] = tr.Z[h_at_t1] if h_at_t1 < tr.Z.size else 0
-        total[r] = tr.C[-1]
-    return z_at, total
-
-
-def suite_zlimit(
-    seed: int | None = None,
-    n: int = 10**6,
-    x: float = 1.0,
-    lam: float = 0.0,
-    N: int = 2000,
-    dt: float = 1e-4,
-    **_,
-) -> ComparisonReport:
+def suite_zlimit(seed: int) -> ComparisonReport:
     """Height-profile limit at t=1 (KS <= 0.06) and total mass vs hitting time."""
-    seed = DEFAULT_SEED if seed is None else seed
-    space_z, _ = scale_pair("aldous", "Z", n)
+    n, x, lam, N, dt = 10**6, 1.0, 0.0, 2000, 1e-4
+    space_z, time_z = scale_pair("aldous", "Z", n)
     space_c, _ = scale_pair("aldous", "C", n)
-    chain_z1, chain_total = _aldous_chain_stats(seed, n, x, lam, N)
+    # per-replicate chain Z at rescaled time 1 and the total infected count
+    cfg = RunConfig(n=n, x=x, window=AldousWindow(lam), seed=seed, replicates=N)
+    h_at_t1 = int(round(1.0 / time_z))
+    chain_z1 = np.empty(N)
+    chain_total = np.empty(N)
+    for r in range(N):
+        tr = simulate_trace(cfg, rng=make_stream(seed, r, "chain"))
+        chain_z1[r] = tr.Z[h_at_t1] if h_at_t1 < tr.Z.size else 0
+        chain_total[r] = tr.C[-1]
     sde_z1, _, _ = sde_ensemble(
         np.full(N, x), lam, dt, int(round(1.0 / dt)), make_stream(seed, 0, "sde")
     )
@@ -273,17 +267,9 @@ def suite_zlimit(
     )
 
 
-def suite_lamperti(
-    seed: int | None = None,
-    x: float = 1.0,
-    lam: float = 0.0,
-    N: int = 5000,
-    dt: float = 1e-4,
-    t_at: float = 1.0,
-    **_,
-) -> ComparisonReport:
+def suite_lamperti(seed: int) -> ComparisonReport:
     """Marginal at t=1 of the Euler SDE route vs the time-change route (KS)."""
-    seed = DEFAULT_SEED if seed is None else seed
+    x, lam, N, dt, t_at = 1.0, 0.0, 5000, 1e-4, 1.0
     steps = int(round(t_at / dt))
     sde_z, _, _ = sde_ensemble(np.full(N, x), lam, dt, steps, make_stream(seed, 0, "sde"))
     tc_z, _, _, trunc = lamperti_marginals(
@@ -316,30 +302,28 @@ def _general_traces(seed: int, n: int, x: float, lam: float, replicates: int):
     return eps, traces
 
 
-def suite_cousin(
-    seed: int | None = None,
-    n: int = 10**7,
-    x: float = 1.0,
-    lam: float = 0.0,
-    replicates: int = 200,
-    **_,
+def _drifting_window_sup(
+    test_name: str, seed: int, replicates: int, kind: str, at_indices, reference
 ) -> ComparisonReport:
-    """Mean rescaled cousin path vs (x + lam t - t**2/2)+ on [0, 0.9 t0]."""
-    seed = DEFAULT_SEED if seed is None else seed
+    """Sup distance of the mean rescaled ``kind`` path from ``reference(lim, t)``.
+
+    ``at_indices(Z, C, js)`` reads the path off each chain trace on 50 points
+    of [0, 0.9 t0].
+    """
+    n, x, lam = 10**7, 1.0, 0.0
     eps, traces = _general_traces(seed, n, x, lam, replicates)
     lim = DeterministicLimit(x=x, lam=lam)
     grid = np.linspace(0.0, 0.9 * lim.t0, 50)
-    space, time_scale = scale_pair("general", "csn", n, eps)
+    space, time_scale = scale_pair("general", kind, n, eps)
     js = np.floor(grid / time_scale).astype(np.int64)
     acc = np.zeros(grid.size)
     for tr in traces:
-        acc += csn_at_indices(tr.Z, tr.C, js) * space
+        acc += at_indices(tr.Z, tr.C, js) * space
     mean_path = acc / replicates
-    ref = np.maximum(lim.f(grid), 0.0)
-    sup = float(np.max(np.abs(mean_path - ref)))
+    sup = float(np.max(np.abs(mean_path - reference(lim, grid))))
     tol = 0.05
     return ComparisonReport(
-        test_name="drifting-window-cousin-limit",
+        test_name=test_name,
         statistic=sup,
         tolerance=tol,
         passed=sup <= tol,
@@ -350,37 +334,19 @@ def suite_cousin(
     )
 
 
-def suite_klimit(
-    seed: int | None = None,
-    n: int = 10**7,
-    x: float = 1.0,
-    lam: float = 0.0,
-    replicates: int = 200,
-    **_,
-) -> ComparisonReport:
+def suite_cousin(seed: int, replicates: int = 200) -> ComparisonReport:
+    """Mean rescaled cousin path vs (x + lam t - t**2/2)+ on [0, 0.9 t0]."""
+    return _drifting_window_sup(
+        "drifting-window-cousin-limit", seed, replicates, "csn", csn_at_indices,
+        lambda lim, t: np.maximum(lim.f(t), 0.0),
+    )
+
+
+def suite_klimit(seed: int, replicates: int = 200) -> ComparisonReport:
     """Mean rescaled cumulative cousin path vs the frozen cubic on [0, 0.9 t0]."""
-    seed = DEFAULT_SEED if seed is None else seed
-    eps, traces = _general_traces(seed, n, x, lam, replicates)
-    lim = DeterministicLimit(x=x, lam=lam)
-    grid = np.linspace(0.0, 0.9 * lim.t0, 50)
-    space, time_scale = scale_pair("general", "K", n, eps)
-    js = np.floor(grid / time_scale).astype(np.int64)
-    acc = np.zeros(grid.size)
-    for tr in traces:
-        acc += K_at_indices(tr.Z, tr.C, js) * space
-    mean_path = acc / replicates
-    ref = lim.k_limit(grid)
-    sup = float(np.max(np.abs(mean_path - ref)))
-    tol = 0.05
-    return ComparisonReport(
-        test_name="drifting-window-cumulative-limit",
-        statistic=sup,
-        tolerance=tol,
-        passed=sup <= tol,
-        n=n,
-        N=replicates,
-        seed=seed,
-        details={"epsilon": eps, "t0": lim.t0, "grid_points": grid.size},
+    return _drifting_window_sup(
+        "drifting-window-cumulative-limit", seed, replicates, "K", K_at_indices,
+        lambda lim, t: lim.k_limit(t),
     )
 
 
@@ -408,9 +374,9 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
     return float(maxerr.max())
 
 
-def suite_deterministic(seed: int | None = None, cases: int = 100, **_) -> ComparisonReport:
+def suite_deterministic(seed: int) -> ComparisonReport:
     """Closed-form c(t) vs RK4 (<= 1e-8) and the lam=0, x=1/2 tanh form (1e-12)."""
-    seed = DEFAULT_SEED if seed is None else seed
+    cases = 100
     rng = make_stream(seed, 0, "curves")
     xs = 0.1 + 4.9 * rng.random(cases)
     lams = -3.0 + 6.0 * rng.random(cases)
@@ -431,41 +397,17 @@ def suite_deterministic(seed: int | None = None, cases: int = 100, **_) -> Compa
     )
 
 
-def suite_selfsim(
-    seed: int | None = None,
-    x: float = 1.0,
-    lam: float = 0.0,
-    t0: float = 0.25,
-    s: float = 0.25,
-    N: int = 5000,
-    dt: float = 1e-4,
-    **_,
-) -> ComparisonReport:
-    """Restart test for the SDE pair; KS <= 0.05."""
-    seed = DEFAULT_SEED if seed is None else seed
-    report = self_similarity_test(x, lam, t0, s, N, dt, make_stream(seed, 0, "selfsim"))
-    return ComparisonReport(
-        test_name=report.test_name,
-        statistic=report.statistic,
-        tolerance=report.tolerance,
-        passed=report.passed,
-        N=report.N,
-        seed=seed,
-        details=report.details,
+def suite_selfsim(seed: int) -> ComparisonReport:
+    """Restart test for the SDE pair at x=1, lam=0, t0=s=0.25; KS <= 0.05."""
+    report = self_similarity_test(
+        1.0, 0.0, 0.25, 0.25, 5000, 1e-4, make_stream(seed, 0, "selfsim")
     )
+    return dataclasses.replace(report, seed=seed)
 
 
-def suite_components(
-    seed: int | None = None,
-    n: int = 10**7,
-    x: float = 0.5,
-    lam: float = 0.0,
-    eta: float = 0.2,
-    replicates: int = 200,
-    **_,
-) -> ComparisonReport:
+def suite_components(seed: int, replicates: int = 200) -> ComparisonReport:
     """Rescaled total infected exceeds t0 - eta with frequency >= 0.95."""
-    seed = DEFAULT_SEED if seed is None else seed
+    n, x, lam, eta = 10**7, 0.5, 0.0, 0.2
     eps, traces = _general_traces(seed, n, x, lam, replicates)
     lim = DeterministicLimit(x=x, lam=lam)
     threshold = lim.t0 - eta
@@ -487,19 +429,12 @@ def suite_components(
     )
 
 
-def suite_conjecture(
-    seed: int | None = None,
-    n: int = 10**6,
-    lam: float = 1.0,
-    replicates: int = 40,
-    t_max: float = 2.0,
-    **_,
-) -> ComparisonReport:
-    """Exploratory: mean rescaled walk vs lam t - t**2/2 on [0, t_max].
+def suite_conjecture(seed: int, replicates: int = 40) -> ComparisonReport:
+    """Exploratory: mean rescaled walk vs lam t - t**2/2 on [0, 2].
 
     Reported, never gating: ``passed`` is always True.
     """
-    seed = DEFAULT_SEED if seed is None else seed
+    n, lam, t_max = 10**6, 1.0, 2.0
     eps = float(n) ** (-0.2)
     window = GeneralWindow(lam=lam, epsilon=eps)
     p = edge_probability(window, n)
@@ -547,8 +482,23 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int | None = None, **kwargs) -> ComparisonReport:
+    """Run suite ``name`` at ``seed`` (DEFAULT_SEED when None).
+
+    A keyword the suite does not take, or ``replicates`` below 1, raises
+    ConfigError before the suite starts.
+    """
     if name not in SUITES:
         raise KeyError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
-    return SUITES[name](seed=seed, **kwargs)
+    suite = SUITES[name]
+    accepted = set(inspect.signature(suite).parameters) - {"seed"}
+    unknown = sorted(set(kwargs) - accepted)
+    if unknown:
+        raise ConfigError(
+            f"suite {name!r} does not take {', '.join(unknown)}; "
+            f"it takes: {', '.join(['seed', *sorted(accepted)])}"
+        )
+    if kwargs.get("replicates", 1) < 1:
+        raise ConfigError(f"replicates must be >= 1, got {kwargs['replicates']}")
+    return suite(seed=DEFAULT_SEED if seed is None else seed, **kwargs)

@@ -11,29 +11,11 @@ from critwin import (
     RunConfig,
     exact_profile_distribution,
     make_stream,
-    q_prob,
     simulate_trace,
-    step,
 )
 from critwin.chain import K_at_indices, csn_at_indices, default_max_steps, q_from_p
-from critwin.core import edge_probability
 from critwin.graph import cousin_series, explore, sample_graph
 from critwin.verify import exhaustive_profile_distribution, total_variation
-
-
-def test_q_prob_trivial_values():
-    w = AldousWindow(0.0)
-    assert q_prob(w, 100, 0) == 0.0
-    assert q_prob(w, 100, 1) == pytest.approx(0.01, rel=1e-12)
-
-
-def test_q_prob_two_infectives():
-    w = AldousWindow(1.0)
-    p = edge_probability(w, 100)
-    expected = 1.0 - (1.0 - p) ** 2
-    got = q_prob(w, 100, 2)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(0.0241612, abs=1e-6)
 
 
 def test_q_from_p_matches_naive_power():
@@ -42,31 +24,6 @@ def test_q_from_p_matches_naive_power():
         p = float(rng.uniform(1e-8, 0.99))
         z = int(rng.integers(0, 300))
         assert q_from_p(p, z) == pytest.approx(1.0 - (1.0 - p) ** z, rel=1e-10, abs=1e-14)
-
-
-def test_step_absorbed_states():
-    w = AldousWindow(0.0)
-    rng = make_stream(1, 0, "s")
-    assert step((0, 5), w, 100, rng) == (0, 5)
-    assert step((1, 100), w, 100, rng) == (0, 100)
-
-
-def test_step_mean_one_infective():
-    # z' ~ Binomial(99, 0.01): mean 0.99, checked over 1e6 draws
-    w = AldousWindow(0.0)
-    rng = make_stream(2, 0, "s")
-    reps = 10**6
-    total = 0
-    for _ in range(reps):
-        total += step((1, 1), w, 100, rng)[0]
-    assert total / reps == pytest.approx(0.99, abs=0.004)
-
-
-def test_step_rejects_bad_state():
-    w = AldousWindow(0.0)
-    rng = make_stream(1, 0, "s")
-    with pytest.raises(ValueError):
-        step((3, 2), w, 100, rng)
 
 
 def test_simulate_trace_all_infected_at_start():

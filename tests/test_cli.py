@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critwin
 from critwin import cli
 from critwin.cli import main
 from critwin import AldousWindow, RunConfig, make_stream, simulate_trace
@@ -111,6 +116,7 @@ def test_verify_out_writes_report_and_sweep(tmp_path, capsys):
     assert len(sweep_lines) == 1 + 3 * 4  # three quantities, four n values
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"report.json", "sweep.csv"}
+    assert manifest["config"]["seed"] == report["seed"] == 20260810
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):
@@ -306,3 +312,86 @@ def test_verify_identities_passes_with_json_stdout(capsys):
     assert payload["pass"] is True
     assert payload["suite"] == "identities"
     assert payload["tolerance"] == 0.0
+
+
+def _strict_json(line):
+    """json.loads that rejects NaN and infinities, which are not valid JSON."""
+    def reject(token):
+        raise ValueError(f"not valid JSON: {token}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "suite", ["kernel", "identities", "moments", "cousin", "klimit", "components"]
+)
+def test_fast_suites_print_one_json_line(capsys, suite):
+    code, stdout, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 1
+    payload = _strict_json(lines[0])
+    assert payload["suite"] == suite
+    assert payload["pass"] is True
+    assert payload["seed"] == 20260810
+
+
+@pytest.mark.parametrize("suite, config", [
+    ("kernel", "replicates = 5\n"),  # kernel takes no replicates
+    ("identities", "n = 1000\n"),  # verify reads only seed and replicates
+    ("conjecture", "replicates = 0\n"),
+])
+def test_verify_config_rejects_what_the_suite_does_not_take(tmp_path, capsys, suite, config):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(config)
+    code, stdout, err = run_cli(capsys, "verify", "--suite", suite, "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert "error" in err
+
+
+def test_verify_config_replicates_reach_the_suite(tmp_path, capsys):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("seed = 3\nreplicates = 3\n")
+    code, stdout, _ = run_cli(
+        capsys, "verify", "--suite", "conjecture", "--config", str(cfg)
+    )
+    assert code == 0
+    payload = _strict_json(stdout)
+    assert payload["N"] == 3
+    assert payload["seed"] == 3
+
+
+# Recorded when `--kind hitting` still ran its own serial loop.
+HITTING_GOLDEN = "3bd4e9fd8e648f12050e6e4e4cc39f1d089405534b4459abb74475894dbac6a0"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_continuum_hitting_is_golden_at_any_thread_count(tmp_path, capsys, threads):
+    code, stdout, _ = run_cli(
+        capsys,
+        "continuum", "--kind", "hitting", "--x", "1", "--lambda", "0.5", "--dt", "1e-3",
+        "--t-max", "6", "--seed", "7", "--replicates", "3", "--threads", threads,
+        "--out", str(tmp_path / "h"),
+    )
+    assert code == 0
+    assert json.loads(stdout)["outputs"] == {"hitting.csv": HITTING_GOLDEN}
+
+
+@pytest.mark.parametrize("kind", ["hitting", "sde", "deterministic"])
+def test_continuum_replicates_below_one_exits_one_before_any_work(tmp_path, capsys, kind):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, "continuum", "--kind", kind, "--replicates", "0", "--out", str(out)
+    )
+    assert code == 1
+    assert "--replicates" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = Path(critwin.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, critwin, critwin.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
