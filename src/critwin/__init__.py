@@ -62,6 +62,7 @@ from .graph import (
     explore_from_roots,
     infected_total,
     sample_graph,
+    walk_chain,
 )
 from .moments import BoundSweep, MomentTriple, bound_sweep, kappa_oracle, moment_triple
 from .verify import SUITES, run_suite

@@ -204,6 +204,8 @@ def cmd_simulate_graph(args) -> int:
 
 def cmd_simulate_chain(args) -> int:
     _check_threads(args.threads)
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ConfigError(f"--max-steps must be >= 1, got {args.max_steps}")
     config = _resolve_config(args)
     _ensure_out_dir(args.out)
     t_start = time.monotonic()
@@ -235,19 +237,25 @@ def cmd_continuum(args) -> int:
         raise ConfigError(f"--t-max must be >= dt, got {args.t_max}")
     if args.x <= 0:
         raise ConfigError(f"--x must be > 0, got {args.x}")
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    _ensure_out_dir(args.out)
-    t_start = time.monotonic()
-    outputs = []
     params = {
         "kind": args.kind,
         "x": args.x,
         "lambda": args.lam,
         "dt": args.dt,
         "t_max": args.t_max,
-        "seed": seed,
-        "replicates": args.replicates,
     }
+    if args.kind == "deterministic":
+        # one curve, no randomness: the manifest records only what it used
+        if args.replicates != 1:
+            raise ConfigError(
+                f"--kind deterministic draws one curve, got --replicates {args.replicates}"
+            )
+    else:
+        seed = args.seed if args.seed is not None else (_env_seed() or 0)
+        params.update(seed=seed, replicates=args.replicates)
+    _ensure_out_dir(args.out)
+    t_start = time.monotonic()
+    outputs = []
     if args.kind == "deterministic":
         limit = DeterministicLimit(x=args.x, lam=args.lam)
         grid = np.arange(int(round(args.t_max / args.dt)) + 1) * args.dt

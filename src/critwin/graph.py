@@ -11,7 +11,8 @@ along the order, roots first.  From it we read off:
 
 ``breadth_first_walk`` is the classic all-components walk whose increments are
 (number of newly seen neighbors) - 1, restarting at a uniform unexplored
-vertex whenever the queue drains.
+vertex whenever the queue drains.  ``walk_chain`` samples the same walk, in
+law, from its (queue, seen) counts alone, without building the graph.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "cousin_series",
     "infected_total",
     "breadth_first_walk",
+    "walk_chain",
 ]
 
 # Below this many vertex pairs we sample one uniform per pair instead of
@@ -272,3 +274,37 @@ def breadth_first_walk(
                 children += 1
         X[i + 1] = X[i] + children - 1
     return WalkPath(X=X, components_opened=components)
+
+
+def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
+    """The walk of ``breadth_first_walk`` on G(n, p), sampled without a graph.
+
+    The edges from the i-th explored vertex to the n - seen unseen vertices
+    have never been examined, so given the history its number of children is
+    Binomial(n - seen, p).  A drained queue reopens at one unseen vertex, and
+    which one does not matter.  So the walk is a Markov chain in (queue,
+    seen), equal in law to ``breadth_first_walk(sample_graph(n, p, ...), ...,
+    max_steps=steps)``, at one binomial draw per step.  ``steps`` is capped
+    at n.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must lie in [0,1], got {p}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    limit = min(int(steps), n)
+    binomial = rng.binomial
+    X = [0] * (limit + 1)
+    x = queue = seen = components = 0
+    for i in range(1, limit + 1):
+        if queue == 0:
+            seen += 1
+            queue = 1
+            components += 1
+        children = binomial(n - seen, p)
+        seen += children
+        queue += children - 1
+        x += children - 1
+        X[i] = x
+    return WalkPath(X=np.array(X, dtype=np.int64), components_opened=components)

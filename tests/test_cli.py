@@ -160,6 +160,18 @@ def test_replicates_zero_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_simulate_chain_max_steps_below_one_exits_one_before_any_work(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys,
+        "simulate-chain", "--n", "100", "--x", "1", "--max-steps", "0", "--out", str(out),
+    )
+    assert code == 1
+    assert "--max-steps" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_unwritable_out_dir_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a dir")
@@ -181,12 +193,25 @@ def test_continuum_deterministic_emits_closed_form(tmp_path, capsys):
         "--out", str(out),
     )
     assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config == {"kind": "deterministic", "x": 0.5, "lambda": 0.0, "dt": 0.5, "t_max": 2.0}
     rows = (out / "deterministic.csv").read_text().splitlines()
     assert rows[0] == "t,f,c,z,K"
     last = rows[-1].split(",")
     assert float(last[0]) == 2.0
     assert float(last[2]) == pytest.approx(0.761594, abs=1e-6)
     assert float(last[2]) == pytest.approx(math.tanh(1.0), abs=1e-12)
+
+
+def test_continuum_deterministic_rejects_replicates_before_any_work(tmp_path, capsys):
+    out = tmp_path / "d"
+    code, stdout, err = run_cli(
+        capsys, "continuum", "--kind", "deterministic", "--replicates", "5", "--out", str(out)
+    )
+    assert code == 1
+    assert "--replicates" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_continuum_sde_and_hitting(tmp_path, capsys):

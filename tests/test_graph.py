@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from critwin import (
     explore,
     explore_from_roots,
     infected_total,
+    ks_statistic,
     make_stream,
     sample_graph,
+    walk_chain,
 )
 from critwin.graph import graph_from_edges
 from critwin.verify import exhaustive_profile_distribution, run_suite, total_variation
@@ -179,6 +182,109 @@ def test_walk_max_steps_truncation():
     g = sample_graph(50, 0.05, make_stream(4, 0, "g"))
     walk = breadth_first_walk(g, make_stream(4, 0, "w"), max_steps=10)
     assert walk.X.size == 11
+
+
+class _FixedPermutation:
+    """Stands in for the stream of `breadth_first_walk`: one given restart order."""
+
+    def __init__(self, perm):
+        self.perm = perm
+
+    def permutation(self, n):
+        return np.asarray(self.perm, dtype=np.int64)
+
+
+class _ScriptedBinomial:
+    """Stands in for the stream of `walk_chain`: returns the given child counts
+    and records how many unseen vertices each draw was over."""
+
+    def __init__(self, children):
+        self.children = iter(children)
+        self.trials = []
+
+    def binomial(self, trials, p):
+        self.trials.append(trials)
+        return next(self.children)
+
+
+def _graph_walk_law(n, p):
+    """Exact law of the full walk: every graph times every restart order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    m = len(pairs)
+    law = {}
+    for mask in range(1 << m):
+        chosen = [pairs[i] for i in range(m) if mask >> i & 1]
+        g = graph_from_edges(n, p, [e[0] for e in chosen], [e[1] for e in chosen])
+        weight = p ** len(chosen) * (1 - p) ** (m - len(chosen)) / len(perms)
+        for perm in perms:
+            walk = breadth_first_walk(g, _FixedPermutation(perm))
+            key = (tuple(walk.X.tolist()), walk.components_opened)
+            law[key] = law.get(key, 0.0) + weight
+    return law
+
+
+def _chain_walk_law(n, p):
+    """Exact law of `walk_chain`: every sequence of child counts, each weighted
+    by the product of the Binomial(unseen, p) pmfs of the draws it answers."""
+    law = {}
+    for children in itertools.product(range(n), repeat=n):
+        rng = _ScriptedBinomial(children)
+        walk = walk_chain(n, p, n, rng)
+        if any(c > k for k, c in zip(rng.trials, children)):
+            continue
+        weight = math.prod(
+            math.comb(k, c) * p**c * (1 - p) ** (k - c) for k, c in zip(rng.trials, children)
+        )
+        key = (tuple(walk.X.tolist()), walk.components_opened)
+        law[key] = law.get(key, 0.0) + weight
+    return law
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [0.3, 0.6])
+def test_walk_chain_law_equals_graph_walk_law(n, p):
+    assert total_variation(_graph_walk_law(n, p), _chain_walk_law(n, p)) <= 1e-12
+
+
+def test_walk_chain_empty_and_complete_graph():
+    empty = walk_chain(3, 0.0, 3, make_stream(1, 0, "w"))
+    assert empty.X.tolist() == [0, -1, -2, -3]
+    assert empty.components_opened == 3
+    complete = walk_chain(3, 1.0, 3, make_stream(1, 0, "w"))
+    assert complete.X.tolist() == [0, 1, 0, -1]
+    assert complete.components_opened == 1
+
+
+def test_walk_chain_steps_capped_at_n():
+    assert walk_chain(5, 0.5, 10, make_stream(2, 0, "w")).X.size == 6
+    assert walk_chain(5, 0.5, 0, make_stream(2, 0, "w")).X.tolist() == [0]
+
+
+@pytest.mark.parametrize("n,p,steps", [
+    (0, 0.5, 1), (3, -0.1, 1), (3, 1.5, 1), (3, float("nan"), 1), (3, 0.5, -1),
+])
+def test_walk_chain_rejects_bad_arguments(n, p, steps):
+    with pytest.raises(ValueError):
+        walk_chain(n, p, steps, make_stream(1, 0, "w"))
+
+
+def test_walk_chain_matches_graph_walk_at_scale():
+    # X at the critical time scale n**(2/3) of the walk of G(1e5, 1/n); the
+    # bound is the 0.1% two-sample KS critical value for these sample sizes
+    n, index, graphs, chains = 10**5, 2000, 80, 400
+    p = 1.0 / n
+    on_graphs = [
+        breadth_first_walk(
+            sample_graph(n, p, make_stream(47, r, "graph")),
+            make_stream(47, r, "walk"),
+            max_steps=index,
+        ).X[index]
+        for r in range(graphs)
+    ]
+    on_chain = [walk_chain(n, p, index, make_stream(53, r, "walk")).X[index] for r in range(chains)]
+    bound = 1.95 * math.sqrt((graphs + chains) / (graphs * chains))
+    assert ks_statistic(on_graphs, on_chain) <= bound
 
 
 def _single_source_heights(g, root):
