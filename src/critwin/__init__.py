@@ -27,7 +27,6 @@ from .continuum import (
     HittingSample,
     ParabolicBMPath,
     SdePath,
-    eval_deterministic,
     hitting_ensemble,
     lamperti_marginals,
     lamperti_route,
@@ -60,11 +59,10 @@ from .graph import (
     cousin_series,
     explore,
     explore_from_roots,
-    infected_total,
     sample_graph,
     walk_chain,
 )
-from .moments import BoundSweep, MomentTriple, bound_sweep, kappa_oracle, moment_triple
+from .moments import BoundSweep, bound_sweep
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ pair depends on the window regime and on which series it is:
     general  csn     1/(n eps**2)         1/(n eps)
     general  K       1/(n**2 eps**3)      1/(n eps)
 
-The applied exponents are recorded on the path and the raw series is kept so
-unscaling is exact.
+The applied scales are recorded on the path and the raw series is kept
+alongside, as ``raw``.
 """
 from __future__ import annotations
 
@@ -76,10 +76,6 @@ class RescaledPath:
     time_scale: float
     regime: str
     kind: str
-
-    def unscale(self) -> np.ndarray:
-        """The original integer series, exactly."""
-        return self.raw
 
 
 def scale_pair(regime: str, kind: str, n: int, epsilon: float | None = None):

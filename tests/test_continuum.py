@@ -5,7 +5,6 @@ import pytest
 
 from critwin import (
     DeterministicLimit,
-    eval_deterministic,
     hitting_ensemble,
     ks_statistic,
     lamperti_marginals,
@@ -209,18 +208,17 @@ def test_hitting_mean_matches_sde_total_mass():
 
 
 def test_eval_deterministic_at_zero():
-    f, c, z, K = eval_deterministic(0.7, 1.3, 0.0)
-    assert c == 0.0
-    assert z == pytest.approx(0.7, rel=1e-14)
-    assert K == 0.0
-    assert f == pytest.approx(0.7, rel=1e-14)
+    lim = DeterministicLimit(x=0.7, lam=1.3)
+    assert float(lim.c(0.0)) == 0.0
+    assert float(lim.z(0.0)) == pytest.approx(0.7, rel=1e-14)
+    assert float(lim.k_limit(0.0)) == 0.0
+    assert float(lim.f(0.0)) == pytest.approx(0.7, rel=1e-14)
 
 
 def test_eval_deterministic_tanh_case():
     # lam = 0, x = 1/2: c(t) = tanh(t/2)
-    _, c, _, _ = eval_deterministic(0.5, 0.0, 2.0)
-    assert c == pytest.approx(math.tanh(1.0), abs=1e-12)
     lim = DeterministicLimit(x=0.5, lam=0.0)
+    assert float(lim.c(2.0)) == pytest.approx(math.tanh(1.0), abs=1e-12)
     t = np.linspace(0.0, 10.0, 501)
     assert np.max(np.abs(lim.c(t) - np.tanh(t / 2))) <= 1e-12
     # cumulative limit at t0 = 1 equals 1/2 - 1/6
@@ -261,7 +259,8 @@ def test_rk4_agreement_small():
 def test_self_similarity_zero_horizon():
     report = self_similarity_test(1.0, 0.0, 0.2, 0.0, 400, 1e-3, make_stream(19, 0, "ss"))
     assert report.statistic == 0.0
-    assert report.passed
+    # the library reports; only the selfsim suite sets a tolerance and grades
+    assert report.tolerance is None and report.passed is None
 
 
 def test_self_similarity_reduced_size():

@@ -9,13 +9,12 @@ from critwin import (
     cousin_series,
     explore,
     explore_from_roots,
-    infected_total,
     ks_statistic,
     make_stream,
     sample_graph,
     walk_chain,
 )
-from critwin.graph import graph_from_edges
+from critwin.graph import _pairs_from_linear, graph_from_edges
 from critwin.verify import exhaustive_profile_distribution, run_suite, total_variation
 
 
@@ -48,14 +47,58 @@ def test_sample_graph_adjacency_valid(n, p):
     _assert_valid_adjacency(g)
 
 
+class _FixedUniforms:
+    """Stands in for the stream of `sample_graph`'s dense branch: one uniform
+    per vertex pair, in row-major pair order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
 def test_sample_graph_edge_count_mean():
-    # Binomial(6, 0.5) mean over 1e5 samples
-    rng = make_stream(11, 0, "edges")
-    total = 0
-    reps = 10**5
-    for _ in range(reps):
-        total += sample_graph(4, 0.5, rng).edge_count
-    assert total / reps == pytest.approx(3.0, abs=0.02)
+    # Dense branch, n = 4, p = 1/2: a pair is an edge exactly when its uniform
+    # is below p.  Each of the 2**6 patterns has probability 2**-6, so the
+    # edge count over all of them is exactly Binomial(6, 1/2), mean 3.
+    pairs = list(itertools.combinations(range(4), 2))
+    below, at = np.nextafter(0.5, 0.0), 0.5
+    counts = []
+    for mask in range(1 << len(pairs)):
+        bits = [mask >> b & 1 for b in range(len(pairs))]
+        g = sample_graph(4, 0.5, _FixedUniforms([below if bit else at for bit in bits]))
+        edges = {(v, int(w)) for v in range(4) for w in g.neighbors(v) if v < w}
+        assert edges == {pair for pair, bit in zip(pairs, bits) if bit}
+        counts.append(g.edge_count)
+    assert [counts.count(e) for e in range(7)] == [math.comb(6, e) for e in range(7)]
+    assert sum(counts) / len(counts) == 3.0
+
+
+def _pair_offset(n, i):
+    """Linear index of the first pair (i, i + 1) of row i."""
+    return i * n - i * (i + 1) // 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, 10**6, 5 * 10**7, 10**9, 2**31 - 1, 2**31])
+def test_pairs_from_linear_exact_at_row_boundaries(n):
+    # The pairs on either side of each probed row start, and the last pair of
+    # the row; near the last rows the float discriminant is least accurate.
+    rows = {0, 1, n // 3, n // 2} | {n - 2 - k for k in range(12)}
+    lin, want = [], []
+    for i in sorted(r for r in rows if 0 <= r <= n - 2):
+        off = _pair_offset(n, i)
+        probes = [(off, (i, i + 1)), (off + n - 2 - i, (i, n - 1))]
+        if i >= 1:
+            probes.append((off - 1, (i - 1, n - 1)))
+        if i + 2 <= n - 1:
+            probes.append((off + 1, (i, i + 2)))
+        for idx, pair in probes:
+            lin.append(idx)
+            want.append(pair)
+    u, v = _pairs_from_linear(n, np.asarray(lin, dtype=np.int64))
+    assert list(zip(u.tolist(), v.tolist())) == want
 
 
 def test_sample_graph_sparse_path_edge_count_mean():
@@ -136,11 +179,11 @@ def test_cousin_series_star_center_root():
 
 
 def test_infected_total_examples():
-    assert infected_total(explore_from_roots(path_graph(), [1])) == 3
+    assert explore_from_roots(path_graph(), [1]).a_total == 3
     g = sample_graph(5, 0.0, make_stream(1, 0, "g"))
-    assert infected_total(explore_from_roots(g, [0, 3])) == 2
+    assert explore_from_roots(g, [0, 3]).a_total == 2
     gc = sample_graph(4, 1.0, make_stream(1, 0, "g"))
-    assert infected_total(explore_from_roots(gc, [1])) == 4
+    assert explore_from_roots(gc, [1]).a_total == 4
 
 
 def test_walk_empty_graph():

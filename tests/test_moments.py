@@ -1,28 +1,52 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from critwin import (
     AldousWindow,
     GeneralWindow,
     bound_sweep,
-    kappa_oracle,
-    moment_triple,
+    edge_probability,
 )
+from critwin.moments import _moment_arrays
+
+
+def moment_triple(n, z, c, window):
+    """(mu, sigma2, kappa) of one kernel transition, as Python floats."""
+    mu, sigma2, kappa = _moment_arrays(n, z, c, edge_probability(window, n))
+    return float(mu), float(sigma2), float(kappa)
+
+
+def kappa_oracle(n, z, c, window):
+    """Fourth moment about z by direct summation of the binomial pmf.
+
+    Independent of the closed-form route in `_moment_arrays`; restricted to
+    n - c <= 2000 terms.  The pmf is evaluated in log space.
+    """
+    m = n - c
+    if m > 2000:
+        raise ValueError(f"kappa_oracle needs n - c <= 2000, got {m}")
+    if z == 0:
+        return 0.0
+    q = -math.expm1(z * math.log1p(-edge_probability(window, n)))
+    support = np.arange(m + 1)
+    return float(np.sum((support - z) ** 4 * np.exp(binom.logpmf(support, m, q))))
 
 
 def test_moment_triple_zero_infectives():
-    trip = moment_triple(100, 0, 30, AldousWindow(1.0))
-    assert (trip.mu, trip.sigma2, trip.kappa) == (0.0, 0.0, 0.0)
+    assert moment_triple(100, 0, 30, AldousWindow(1.0)) == (0.0, 0.0, 0.0)
 
 
 def test_moment_triple_mean_example():
-    trip = moment_triple(100, 1, 50, AldousWindow(0.0))
-    assert trip.mu == pytest.approx(0.5, rel=1e-12)
+    mu, _, _ = moment_triple(100, 1, 50, AldousWindow(0.0))
+    assert mu == pytest.approx(0.5, rel=1e-12)
 
 
 def test_moment_triple_variance_example():
-    trip = moment_triple(100, 1, 0, AldousWindow(0.0))
-    assert trip.sigma2 == pytest.approx(100 * 0.01 * 0.99, rel=1e-12)
+    _, sigma2, _ = moment_triple(100, 1, 0, AldousWindow(0.0))
+    assert sigma2 == pytest.approx(100 * 0.01 * 0.99, rel=1e-12)
 
 
 def test_kappa_oracle_zero():
@@ -38,9 +62,8 @@ def test_kappa_oracle_zero():
     ],
 )
 def test_kappa_matches_oracle_examples(n, z, c, window):
-    closed = moment_triple(n, z, c, window).kappa
-    direct = kappa_oracle(n, z, c, window)
-    assert closed == pytest.approx(direct, rel=1e-9)
+    _, _, closed = moment_triple(n, z, c, window)
+    assert closed == pytest.approx(kappa_oracle(n, z, c, window), rel=1e-9)
 
 
 def test_kappa_matches_oracle_random_tuples():
@@ -55,11 +78,11 @@ def test_kappa_matches_oracle_random_tuples():
             window = GeneralWindow(
                 lam=float(rng.uniform(-0.5, 2.0)), epsilon=float(rng.uniform(0.01, 0.5))
             )
-        trip = moment_triple(n, z, c, window)
-        assert trip.sigma2 >= 0.0
-        assert trip.kappa >= 0.0
+        _, sigma2, kappa = moment_triple(n, z, c, window)
+        assert sigma2 >= 0.0
+        assert kappa >= 0.0
         direct = kappa_oracle(n, z, c, window)
-        assert trip.kappa == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        assert kappa == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
 def test_kappa_oracle_guards_wide_support():
@@ -69,34 +92,15 @@ def test_kappa_oracle_guards_wide_support():
 
 def test_bound_sweep_deterministic_and_exports():
     n_list = (10**3, 10**4, 10**5)
-    a = bound_sweep(n_list, 1.0, 1.0, AldousWindow(1.0), grid_density=16)
-    b = bound_sweep(n_list, 1.0, 1.0, AldousWindow(1.0), grid_density=16)
+    a = bound_sweep(n_list, AldousWindow(1.0))
+    b = bound_sweep(n_list, AldousWindow(1.0))
     assert a.sups == b.sups
     assert a.slopes == b.slopes
     rows = list(a.rows())
     assert len(rows) == 3 * len(n_list)
     assert all(len(r) == 3 for r in rows)
-    # argmax bookkeeping is recorded for every n (not asserted to be boundary)
-    assert all(len(v) == len(n_list) for v in a.argmax_on_boundary.values())
 
 
-def test_bound_sweep_general_window_family():
-    sweep = bound_sweep(
-        (10**4, 10**5, 10**6),
-        1.0,
-        1.0,
-        lambda n: GeneralWindow(lam=1.0, epsilon=float(n) ** -0.25),
-        grid_density=16,
-    )
-    assert sweep.window_label == "general"
-    assert all(v > 0 for v in sweep.sups["kappa_abs"])
-
-
-def test_bound_sweep_density_guard():
-    with pytest.raises(ValueError):
-        bound_sweep((10**3,), 1.0, 1.0, AldousWindow(1.0), grid_density=4)
-
-
-def test_moment_triple_range_guard():
-    with pytest.raises(ValueError):
-        moment_triple(10, 1, 11, AldousWindow(0.0))
+def test_bound_sweep_takes_only_the_aldous_window():
+    with pytest.raises(ValueError, match="AldousWindow"):
+        bound_sweep((10**3, 10**4), GeneralWindow(lam=1.0, epsilon=0.1))
