@@ -24,13 +24,11 @@ from .chain import (
 )
 from .continuum import (
     DeterministicLimit,
-    HittingSample,
     ParabolicBMPath,
     SdePath,
     hitting_ensemble,
     lamperti_marginals,
     lamperti_route,
-    sample_hitting_time,
     sample_parabolic_bm,
     sde_ensemble,
     self_similarity_test,

@@ -81,15 +81,13 @@ def default_max_steps(config: RunConfig) -> int:
 
 
 def simulate_trace(
-    config: RunConfig, max_steps: int | None = None, rng: RngStream | None = None
+    config: RunConfig, max_steps: int | None = None, *, rng: RngStream
 ) -> EpidemicTrace:
     """Run the chain from (k, k) until absorption or max_steps generations.
 
     Non-absorption within max_steps flags the trace truncated; it is not an
     error.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if max_steps is None:
         max_steps = default_max_steps(config)
     if max_steps < 1:

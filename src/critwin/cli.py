@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,8 +22,8 @@ from .analysis import ComparisonReport
 from .chain import simulate_trace
 from .continuum import (
     DeterministicLimit,
+    hitting_ensemble,
     lamperti_route,
-    sample_hitting_time,
     sample_parabolic_bm,
     simulate_sde,
 )
@@ -36,7 +37,7 @@ from .core import (
     parse_config_file,
 )
 from .graph import breadth_first_walk, cousin_series, explore, sample_graph
-from .verify import SUITES, moments_sweep, run_suite
+from .verify import moments_sweep, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,17 +99,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("CW_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CW_SEED must be an integer, got {raw!r}") from exc
+def _seed(given: int | None, default: int | None = 0) -> int | None:
+    """The seed from the flag or config file, else CW_SEED, else ``default``.
+
+    A negative seed, from any of the three, is a ConfigError.
+    """
+    if given is None:
+        raw = os.environ.get("CW_SEED")
+        try:
+            given = default if raw is None else int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"CW_SEED must be an integer, got {raw!r}") from exc
+    if given is not None and given < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {given}")
+    return given
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_config(args) -> tuple[RunConfig, float, dict]:
+    """The run config, its edge probability and its manifest block, all checked."""
     values = parse_config_file(args.config) if args.config else {}
     overrides = {
         "n": args.n,
@@ -122,11 +130,10 @@ def _resolve_config(args) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
-    if values.get("seed") is None:
-        env = _env_seed()
-        if env is not None:
-            values["seed"] = env
-    return config_from_mapping(values)
+    values["seed"] = _seed(values.get("seed"))
+    config = config_from_mapping(values)
+    # describe() derives k, so a window giving k = 0 fails here too
+    return config, edge_probability(config.window, config.n), config.describe()
 
 
 def _ensure_out_dir(path: Path) -> None:
@@ -139,42 +146,37 @@ def _ensure_out_dir(path: Path) -> None:
         raise IOError(f"output directory {path} is not writable: {exc}") from exc
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
+def _run(args, command: str, config: dict, replicates: int, one, gather=None) -> int:
+    """Check --threads, make --out, run one(r) for every replicate, write the
+    manifest and print the report.
 
-
-def _run_replicates(replicates: int, threads: int, fn):
-    """Run fn(replicate) for each replicate, results ordered by index.
-
-    The pool holds at most min(threads, replicates, cpu count) workers.
+    one(r) returns the paths it wrote or, with ``gather``, a result;
+    gather(results) then writes them and returns the paths.  Replicates run
+    on a pool of at most min(threads, replicates, cpu count) workers, or
+    serially with one worker; results keep replicate order.
     """
-    workers = min(threads, replicates, os.cpu_count() or 1)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    _ensure_out_dir(args.out)
+    t_start = time.monotonic()
+    workers = min(args.threads, replicates, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicates)))
-
-
-def _report_run(out_dir: Path, command: str, config: dict, outputs, t_start: float) -> dict:
+        results = [one(r) for r in range(replicates)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(replicates)))
+    outputs = gather(results) if gather else [path for paths in results for path in paths]
     manifest_path = artifacts.write_manifest(
-        out_dir, command, config, outputs, time.monotonic() - t_start
+        args.out, command, config, outputs, time.monotonic() - t_start
     )
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return {
-        "command": command,
-        "out_dir": str(out_dir),
-        "outputs": manifest["outputs"],
-    }
+        digests = json.load(fh)["outputs"]
+    print(json.dumps({"command": command, "out_dir": str(args.out), "outputs": digests}))
+    return EXIT_OK
 
 
 def cmd_simulate_graph(args) -> int:
-    _check_threads(args.threads)
-    config = _resolve_config(args)
-    _ensure_out_dir(args.out)
-    t_start = time.monotonic()
-    p = edge_probability(config.window, config.n)
+    config, p, described = _resolve_config(args)
     k = config.k
 
     def one(r: int):
@@ -193,22 +195,15 @@ def cmd_simulate_graph(args) -> int:
             paths.append(walk_path)
         return paths
 
-    outputs = [
-        path
-        for paths in _run_replicates(config.replicates, args.threads, one)
-        for path in paths
-    ]
-    print(json.dumps(_report_run(args.out, "simulate-graph", config.describe(), outputs, t_start)))
-    return EXIT_OK
+    return _run(args, "simulate-graph", described, config.replicates, one)
 
 
 def cmd_simulate_chain(args) -> int:
-    _check_threads(args.threads)
     if args.max_steps is not None and args.max_steps < 1:
         raise ConfigError(f"--max-steps must be >= 1, got {args.max_steps}")
-    config = _resolve_config(args)
-    _ensure_out_dir(args.out)
-    t_start = time.monotonic()
+    config, _, described = _resolve_config(args)
+    if args.max_steps is not None:
+        described["max_steps"] = args.max_steps
 
     def one(r: int):
         trace = simulate_trace(
@@ -218,35 +213,24 @@ def cmd_simulate_chain(args) -> int:
         artifacts.write_trace_csv(path, trace.Z, trace.C)
         return [path]
 
-    outputs = [
-        path
-        for paths in _run_replicates(config.replicates, args.threads, one)
-        for path in paths
-    ]
-    described = config.describe()
-    if args.max_steps is not None:
-        described["max_steps"] = args.max_steps
-    print(json.dumps(_report_run(args.out, "simulate-chain", described, outputs, t_start)))
-    return EXIT_OK
+    return _run(args, "simulate-chain", described, config.replicates, one)
 
 
 def cmd_continuum(args) -> int:
-    _check_threads(args.threads)
+    x, lam, dt, t_max = args.x, args.lam, args.dt, args.t_max
+    for name, val in (("--x", x), ("--lambda", lam), ("--dt", dt), ("--t-max", t_max)):
+        if not math.isfinite(val):
+            raise ConfigError(f"{name} must be finite, got {val}")
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
-    if args.dt <= 0:
-        raise ConfigError(f"--dt must be > 0, got {args.dt}")
-    if args.t_max < args.dt:
-        raise ConfigError(f"--t-max must be >= dt, got {args.t_max}")
-    if args.x <= 0:
-        raise ConfigError(f"--x must be > 0, got {args.x}")
-    params = {
-        "kind": args.kind,
-        "x": args.x,
-        "lambda": args.lam,
-        "dt": args.dt,
-        "t_max": args.t_max,
-    }
+    if dt <= 0:
+        raise ConfigError(f"--dt must be > 0, got {dt}")
+    if t_max < dt:
+        raise ConfigError(f"--t-max must be >= dt, got {t_max}")
+    if x <= 0:
+        raise ConfigError(f"--x must be > 0, got {x}")
+    command = f"continuum-{args.kind}"
+    params = {"kind": args.kind, "x": x, "lambda": lam, "dt": dt, "t_max": t_max}
     if args.kind == "deterministic":
         # one curve, no randomness: the manifest records only what it used
         if args.replicates != 1 or args.seed is not None or args.threads != 1:
@@ -254,79 +238,54 @@ def cmd_continuum(args) -> int:
                 "--kind deterministic draws one curve: it takes no --seed, and no "
                 "--replicates or --threads other than 1"
             )
-    else:
-        seed = args.seed if args.seed is not None else (_env_seed() or 0)
-        params.update(seed=seed, replicates=args.replicates)
-    _ensure_out_dir(args.out)
-    t_start = time.monotonic()
-    outputs = []
-    if args.kind == "deterministic":
-        limit = DeterministicLimit(x=args.x, lam=args.lam)
-        grid = np.arange(int(round(args.t_max / args.dt)) + 1) * args.dt
-        path = args.out / "deterministic.csv"
-        artifacts.write_deterministic_csv(path, grid, limit)
-        outputs.append(path)
-    elif args.kind == "hitting":
-        samples = _run_replicates(
-            args.replicates,
-            args.threads,
-            lambda r: sample_hitting_time(
-                args.x, args.lam, args.dt, args.t_max, make_stream(seed, r, "hitting")
-            ),
-        )
-        path = args.out / "hitting.csv"
-        artifacts.write_hitting_csv(
-            path, [s.T for s in samples], [s.truncated for s in samples]
-        )
-        outputs.append(path)
-    else:
 
-        def one(r: int):
-            rng = make_stream(seed, r, args.kind)
-            if args.kind == "sde":
-                sim = simulate_sde(args.x, args.lam, args.dt, args.t_max, rng)
-            elif args.kind == "lamperti":
-                sim = lamperti_route(args.x, args.lam, args.dt, args.t_max, rng)
-            else:  # parabolic: write the path against an empty C column
-                pb = sample_parabolic_bm(args.lam, args.x, args.dt, args.t_max, rng)
-                path = args.out / f"parabolic_{r:04d}.csv"
-                artifacts.write_path_csv(path, args.dt, pb.values, np.zeros_like(pb.values))
-                return [path]
-            path = args.out / f"{args.kind}_{r:04d}.csv"
-            artifacts.write_path_csv(path, args.dt, sim.z, sim.c)
+        def curve(r: int):
+            path = args.out / "deterministic.csv"
+            grid = np.arange(int(round(t_max / dt)) + 1) * dt
+            artifacts.write_deterministic_csv(path, grid, DeterministicLimit(x=x, lam=lam))
             return [path]
 
-        outputs = [
-            path
-            for paths in _run_replicates(args.replicates, args.threads, one)
-            for path in paths
-        ]
-    print(json.dumps(_report_run(args.out, f"continuum-{args.kind}", params, outputs, t_start)))
-    return EXIT_OK
+        return _run(args, command, params, 1, curve)
+    seed = _seed(args.seed)
+    params.update(seed=seed, replicates=args.replicates)
+    if args.kind == "hitting":  # one path per replicate, one CSV for them all
+
+        def hit(r: int):
+            return hitting_ensemble(x, lam, dt, t_max, 1, make_stream(seed, r, "hitting"))
+
+        def write(samples):
+            path = args.out / "hitting.csv"
+            times, truncated = (np.concatenate(column) for column in zip(*samples))
+            artifacts.write_hitting_csv(path, times, truncated)
+            return [path]
+
+        return _run(args, command, params, args.replicates, hit, write)
+
+    def one(r: int):
+        rng = make_stream(seed, r, args.kind)
+        if args.kind == "parabolic":  # the path against an empty C column
+            z = sample_parabolic_bm(lam, x, dt, t_max, rng).values
+            c = np.zeros_like(z)
+        else:
+            route = simulate_sde if args.kind == "sde" else lamperti_route
+            sim = route(x, lam, dt, t_max, rng)
+            z, c = sim.z, sim.c
+        path = args.out / f"{args.kind}_{r:04d}.csv"
+        artifacts.write_path_csv(path, dt, z, c)
+        return [path]
+
+    return _run(args, command, params, args.replicates, one)
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
+    values = parse_config_file(args.config) if args.config else {}
+    extra = sorted(set(values) - {"seed", "replicates"})
+    if extra:
+        raise ConfigError(
+            f"verify --config takes only seed and replicates, got {', '.join(extra)}"
         )
-        return EXIT_USAGE
-    seed = args.seed
-    kwargs = {}
-    if args.config:
-        values = parse_config_file(args.config)
-        extra = sorted(set(values) - {"seed", "replicates"})
-        if extra:
-            raise ConfigError(
-                f"verify --config takes only seed and replicates, got {', '.join(extra)}"
-            )
-        if seed is None:
-            seed = values.get("seed")
-        if "replicates" in values:
-            kwargs["replicates"] = values["replicates"]
-    if seed is None:
-        seed = _env_seed()
+    seed = _seed(values.get("seed") if args.seed is None else args.seed, default=None)
+    kwargs = {"replicates": values["replicates"]} if "replicates" in values else {}
     t_start = time.monotonic()
     report: ComparisonReport = run_suite(args.suite, seed=seed, **kwargs)
     payload = report.to_json()
@@ -335,13 +294,12 @@ def cmd_verify(args) -> int:
     print(json.dumps(payload))
     if args.out is not None:
         _ensure_out_dir(args.out)
-        outputs = []
         report_path = args.out / "report.json"
         on_disk = {key: val for key, val in payload.items() if key != "duration_s"}
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(on_disk, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        outputs.append(report_path)
+        outputs = [report_path]
         if args.suite == "moments":
             sweep_path = args.out / "sweep.csv"
             artifacts.write_sweep_csv(sweep_path, moments_sweep())
@@ -363,15 +321,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "simulate-graph":
-            return cmd_simulate_graph(args)
-        if args.command == "simulate-chain":
-            return cmd_simulate_chain(args)
-        if args.command == "continuum":
-            return cmd_continuum(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        command = {
+            "simulate-graph": cmd_simulate_graph,
+            "simulate-chain": cmd_simulate_chain,
+            "continuum": cmd_continuum,
+            "verify": cmd_verify,
+        }[args.command]
+        return command(args)
     except (ConfigError, CritwinError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,14 +38,12 @@ __all__ = [
     "InsufficientSampleError",
     "ParabolicBMPath",
     "SdePath",
-    "HittingSample",
     "DeterministicLimit",
     "sample_parabolic_bm",
     "simulate_sde",
     "sde_ensemble",
     "lamperti_route",
     "lamperti_marginals",
-    "sample_hitting_time",
     "hitting_ensemble",
     "self_similarity_test",
 ]
@@ -77,14 +75,6 @@ class SdePath:
     z: np.ndarray
     c: np.ndarray
     absorbed_at: int | None
-
-
-@dataclass(frozen=True)
-class HittingSample:
-    """First passage time of x + X to zero; see `_first_passage`."""
-
-    T: float
-    truncated: bool
 
 
 def _drift(lam: float, t: np.ndarray) -> np.ndarray:
@@ -164,31 +154,17 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
 
 
 def sample_parabolic_bm(
-    lam: float,
-    x_offset: float = 0.0,
-    dt: float = 1e-4,
-    t_max: float = 1.0,
-    rng: RngStream | None = None,
+    lam: float, x_offset: float, dt: float, t_max: float, rng: RngStream
 ) -> ParabolicBMPath:
     """One path on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if not (dt > 0 and t_max >= dt):
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
     _, _, grid = _first_passage(None, lam, dt, int(round(t_max / dt)), 1, rng, keep=True)
     return ParabolicBMPath(dt=dt, lam=lam, x_offset=x_offset, values=grid[0] + x_offset)
 
 
-def simulate_sde(
-    x: float,
-    lam: float,
-    dt: float = 1e-4,
-    t_max: float = 1.0,
-    rng: RngStream | None = None,
-) -> SdePath:
+def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
     """One recorded `sde_ensemble` path of (Z, C) on the grid 0, dt, ..., ~t_max."""
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if not (dt > 0 and t_max >= dt):
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
     _, _, absorbed_at, z, c = sde_ensemble(x, lam, dt, int(round(t_max / dt)), rng, record=True)
@@ -324,20 +300,12 @@ def _default_grid_span(x: float, lam: float) -> float:
     return 3.0 * t0 + 8.0
 
 
-def lamperti_route(
-    x: float,
-    lam: float,
-    dt: float = 1e-4,
-    t_max: float = 1.0,
-    rng: RngStream | None = None,
-) -> SdePath:
+def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
     """Single (Z, C) path built by time-changing a parabolic-drift path.
 
     The X grid spans `_default_grid_span` (generously past the hitting time)
     with the same step dt as the time-change integration.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
     m = int(round(_default_grid_span(x, lam) / dt))
@@ -402,21 +370,6 @@ def hitting_ensemble(
         x, lam, dt, int(round(t_max / dt)), n_paths, rng, bridge=bridge
     )
     return t_hit, truncated
-
-
-def sample_hitting_time(
-    x: float,
-    lam: float,
-    dt: float = 1e-4,
-    t_max: float = 10.0,
-    rng: RngStream | None = None,
-    bridge: bool = True,
-) -> HittingSample:
-    """Single first-passage sample; see `hitting_ensemble`."""
-    if rng is None:
-        raise ValueError("an RngStream is required")
-    t_hit, truncated = hitting_ensemble(x, lam, dt, t_max, 1, rng, bridge=bridge)
-    return HittingSample(T=float(t_hit[0]), truncated=bool(truncated[0]))
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if not self.x > 0:
-            raise ConfigError(f"x must be > 0, got {self.x}")
+        if not 0 < self.x < math.inf:
+            raise ConfigError(f"x must be finite and > 0, got {self.x}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.seed < 0:

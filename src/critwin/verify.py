@@ -487,13 +487,15 @@ SUITES = {
 def run_suite(name: str, seed: int | None = None, **kwargs) -> ComparisonReport:
     """Run suite ``name`` at ``seed`` (DEFAULT_SEED when None).
 
-    A keyword the suite does not take, or ``replicates`` below 1, raises
-    ConfigError before the suite starts.
+    An unknown suite, a negative seed, a keyword the suite does not take, or
+    ``replicates`` below 1 raises ConfigError before the suite starts.
     """
     if name not in SUITES:
-        raise KeyError(
+        raise ConfigError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     suite = SUITES[name]
     accepted = set(inspect.signature(suite).parameters) - {"seed"}
     unknown = sorted(set(kwargs) - accepted)

@@ -342,6 +342,42 @@ def test_thread_pool_capped_by_replicates_and_cpus(tmp_path, capsys, monkeypatch
     assert requested == [3, 4, 2]  # a single worker runs serially without a pool
 
 
+_SDE = ("continuum", "--kind", "sde")
+BAD_INPUT = {
+    # p or k out of range: n < 2, k = 0, p >= 1, p = nan
+    **{f"{cmd}{flags[0]}-{flags[1]}": ((cmd, "--n", "100", "--x", "1", *flags), {})
+       for cmd in ("simulate-graph", "simulate-chain")
+       for flags in (("--n", "1"), ("--x", "0.01"), ("--lambda", "1000"), ("--lambda", "nan"))},
+    "continuum-seed-flag": ((*_SDE, "--seed", "-1"), {}),
+    "continuum-seed-env": (_SDE, {"CW_SEED": "-3"}),
+    "continuum-dt-nan": ((*_SDE, "--dt", "nan"), {}),
+    "continuum-t-max-nan": ((*_SDE, "--t-max", "nan"), {}),
+    "continuum-x-nan": ((*_SDE, "--x", "nan"), {}),
+    "continuum-x-inf": ((*_SDE, "--x", "inf"), {}),
+    "continuum-lambda-nan": ((*_SDE, "--lambda", "nan"), {}),
+    "hitting-t-max-inf": (("continuum", "--kind", "hitting", "--t-max", "inf"), {}),
+    "deterministic-lambda-nan": (
+        ("continuum", "--kind", "deterministic", "--lambda", "nan"), {}
+    ),
+    "verify-seed-env": (("verify", "--suite", "kernel"), {"CW_SEED": "-3"}),
+    "verify-seed-flag": (("verify", "--suite", "moments", "--seed", "-5"), {}),
+    "verify-unknown-suite": (("verify", "--suite", "bogus"), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_one_before_out_exists(tmp_path, capsys, monkeypatch, case):
+    argv, env = BAD_INPUT[case]
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_continuum_bad_dt_exits_one(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
@@ -362,6 +398,14 @@ def test_verify_unknown_suite_exits_one(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 1
     assert "unknown suite" in err
+
+
+def test_run_suite_rejects_unknown_suite_and_negative_seed():
+    with pytest.raises(critwin.ConfigError, match="unknown suite"):
+        critwin.run_suite("bogus")
+    for suite in ("kernel", "moments", "identities", "cousin"):
+        with pytest.raises(critwin.ConfigError, match="non-negative"):
+            critwin.run_suite(suite, seed=-1)
 
 
 def test_verify_identities_passes_with_json_stdout(capsys):

@@ -10,7 +10,6 @@ from critwin import (
     lamperti_marginals,
     lamperti_route,
     make_stream,
-    sample_hitting_time,
     sample_parabolic_bm,
     sde_ensemble,
     self_similarity_test,
@@ -190,11 +189,11 @@ def test_hitting_time_positive_and_bridge_orders_pathwise():
 
 
 def test_hitting_single_sample_and_truncation():
-    sample = sample_hitting_time(1.0, 0.0, 1e-3, 8.0, make_stream(14, 0, "h"))
-    assert sample.T > 0 and not sample.truncated
+    T, truncated = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 1, make_stream(14, 0, "h"))
+    assert T[0] > 0 and not truncated[0]
     # an absurdly short horizon truncates
-    sample = sample_hitting_time(5.0, 0.0, 1e-3, 0.01, make_stream(14, 0, "h"))
-    assert sample.truncated
+    T, truncated = hitting_ensemble(5.0, 0.0, 1e-3, 0.01, 1, make_stream(14, 0, "h"))
+    assert truncated[0]
 
 
 def test_hitting_mean_matches_sde_total_mass():
@@ -283,4 +282,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         sde_ensemble(np.array([1.0, -1.0]), 0.0, 1e-3, 10, rng)
     with pytest.raises(ValueError):
-        sample_hitting_time(-1.0, 0.0, 1e-3, 1.0, rng)
+        hitting_ensemble(-1.0, 0.0, 1e-3, 1.0, 1, rng)

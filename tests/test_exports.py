@@ -1,0 +1,27 @@
+"""Every exported name exists, and the package re-exports only exported names."""
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import critwin
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(critwin.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_exists(name):
+    module = importlib.import_module(f"critwin.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_imports_only_names_in_their_modules_all():
+    tree = ast.parse(Path(critwin.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"critwin.{node.module}")
+        missing = [a.name for a in node.names if a.name not in module.__all__]
+        assert missing == [], node.module
