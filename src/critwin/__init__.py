@@ -24,14 +24,12 @@ from .chain import (
 )
 from .continuum import (
     DeterministicLimit,
-    ParabolicBMPath,
     SdePath,
     hitting_ensemble,
     lamperti_marginals,
     lamperti_route,
     sample_parabolic_bm,
     sde_ensemble,
-    self_similarity_test,
     simulate_sde,
 )
 from .core import (

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     AldousWindow,
     ConfigError,
-    CriticalWindow,
     RngStream,
     RunConfig,
     derive_k,
@@ -46,22 +45,13 @@ class EpidemicTrace:
     Z[0] = C[0] = k.  ``absorbed_at`` is the generation at which the chain
     first hits zero (== len(Z) for absorbed traces, since only positive
     generations are stored); None if the run hit max_steps first, in which
-    case ``truncated`` is set.  ``profile()`` appends the terminal zero,
-    matching the path convention of `exact_profile_distribution`.
+    case ``truncated`` is set.
     """
 
     Z: np.ndarray
     C: np.ndarray
-    window: CriticalWindow
-    n: int
-    k: int
     absorbed_at: int | None
     truncated: bool
-
-    def profile(self) -> tuple:
-        if self.truncated:
-            return tuple(int(z) for z in self.Z)
-        return tuple(int(z) for z in self.Z) + (0,)
 
 
 def q_from_p(p: float, z: int) -> float:
@@ -114,9 +104,6 @@ def simulate_trace(
     return EpidemicTrace(
         Z=np.asarray(Z, dtype=np.int64),
         C=np.asarray(C, dtype=np.int64),
-        window=config.window,
-        n=n,
-        k=k,
         absorbed_at=absorbed_at,
         truncated=absorbed_at is None,
     )

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .analysis import ComparisonReport
 from .chain import simulate_trace
 from .continuum import (
     DeterministicLimit,
@@ -37,7 +36,8 @@ from .core import (
     parse_config_file,
 )
 from .graph import breadth_first_walk, cousin_series, explore, sample_graph
-from .verify import moments_sweep, run_suite
+from .moments import bound_sweep
+from .verify import _checked_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -264,7 +264,7 @@ def cmd_continuum(args) -> int:
     def one(r: int):
         rng = make_stream(seed, r, args.kind)
         if args.kind == "parabolic":  # the path against an empty C column
-            z = sample_parabolic_bm(lam, x, dt, t_max, rng).values
+            z = sample_parabolic_bm(lam, x, dt, t_max, rng)
             c = np.zeros_like(z)
         else:
             route = simulate_sde if args.kind == "sde" else lamperti_route
@@ -286,14 +286,16 @@ def cmd_verify(args) -> int:
         )
     seed = _seed(values.get("seed") if args.seed is None else args.seed, default=None)
     kwargs = {"replicates": values["replicates"]} if "replicates" in values else {}
+    suite = _checked_suite(args.suite, seed, kwargs)
+    if args.out is not None:
+        _ensure_out_dir(args.out)
     t_start = time.monotonic()
-    report: ComparisonReport = run_suite(args.suite, seed=seed, **kwargs)
+    report = suite()
     payload = report.to_json()
     payload["suite"] = args.suite
     payload["duration_s"] = time.monotonic() - t_start
     print(json.dumps(payload))
     if args.out is not None:
-        _ensure_out_dir(args.out)
         report_path = args.out / "report.json"
         on_disk = {key: val for key, val in payload.items() if key != "duration_s"}
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -302,7 +304,7 @@ def cmd_verify(args) -> int:
         outputs = [report_path]
         if args.suite == "moments":
             sweep_path = args.out / "sweep.csv"
-            artifacts.write_sweep_csv(sweep_path, moments_sweep())
+            artifacts.write_sweep_csv(sweep_path, bound_sweep())
             outputs.append(sweep_path)
         artifacts.write_manifest(
             args.out,

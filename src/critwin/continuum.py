@@ -32,11 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CritwinError, RngStream
+from .core import RngStream
 
 __all__ = [
-    "InsufficientSampleError",
-    "ParabolicBMPath",
     "SdePath",
     "DeterministicLimit",
     "sample_parabolic_bm",
@@ -45,33 +43,13 @@ __all__ = [
     "lamperti_route",
     "lamperti_marginals",
     "hitting_ensemble",
-    "self_similarity_test",
 ]
-
-
-class InsufficientSampleError(CritwinError):
-    """Too few paths survived to the comparison time."""
-
-
-@dataclass(frozen=True)
-class ParabolicBMPath:
-    """Grid path of x_offset + B(t) + lam*t - t**2/2."""
-
-    dt: float
-    lam: float
-    x_offset: float
-    values: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.dt
 
 
 @dataclass(frozen=True)
 class SdePath:
     """Grid path of (Z, C); Z is identically zero from ``absorbed_at`` on."""
 
-    dt: float
     z: np.ndarray
     c: np.ndarray
     absorbed_at: int | None
@@ -155,12 +133,12 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
 
 def sample_parabolic_bm(
     lam: float, x_offset: float, dt: float, t_max: float, rng: RngStream
-) -> ParabolicBMPath:
-    """One path on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
+) -> np.ndarray:
+    """x_offset + X on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
     if not (dt > 0 and t_max >= dt):
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
     _, _, grid = _first_passage(None, lam, dt, int(round(t_max / dt)), 1, rng, keep=True)
-    return ParabolicBMPath(dt=dt, lam=lam, x_offset=x_offset, values=grid[0] + x_offset)
+    return grid[0] + x_offset
 
 
 def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
@@ -169,7 +147,7 @@ def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) 
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
     _, _, absorbed_at, z, c = sde_ensemble(x, lam, dt, int(round(t_max / dt)), rng, record=True)
     ab = int(absorbed_at[0])
-    return SdePath(dt=dt, z=z[0], c=c[0], absorbed_at=None if ab < 0 else ab)
+    return SdePath(z=z[0], c=c[0], absorbed_at=None if ab < 0 else ab)
 
 
 def sde_ensemble(
@@ -314,9 +292,7 @@ def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream
         x, dt, int(round(t_max / dt)), xmat, t_cross, record=True
     )
     ab = int(absorbed_at[0])
-    return SdePath(
-        dt=dt, z=z_path[0], c=c_path[0], absorbed_at=None if ab < 0 else ab
-    )
+    return SdePath(z=z_path[0], c=c_path[0], absorbed_at=None if ab < 0 else ab)
 
 
 def lamperti_marginals(
@@ -356,19 +332,14 @@ def hitting_ensemble(
     t_max: float,
     n_paths: int,
     rng: RngStream,
-    bridge: bool = True,
 ):
     """First passage of x + X to zero for an ensemble; (T, truncated).
 
-    See `_first_passage` for the crossing rule; the same draws are consumed
-    with ``bridge`` on or off, so the two runs couple pathwise under a
-    common stream.
+    See `_first_passage` for the crossing rule.
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
-    t_hit, truncated, _ = _first_passage(
-        x, lam, dt, int(round(t_max / dt)), n_paths, rng, bridge=bridge
-    )
+    t_hit, truncated, _ = _first_passage(x, lam, dt, int(round(t_max / dt)), n_paths, rng)
     return t_hit, truncated
 
 
@@ -412,55 +383,3 @@ class DeterministicLimit:
     def k_limit(self, t):
         tm = np.minimum(np.asarray(t, dtype=np.float64), self.t0)
         return self.x * tm + 0.5 * self.lam * tm * tm - tm**3 / 6.0
-
-
-def self_similarity_test(
-    x: float,
-    lam: float,
-    t0: float,
-    s: float,
-    N: int,
-    dt: float,
-    rng: RngStream,
-):
-    """Restart test: continuing past t0 vs restarting from the observed state.
-
-    For each path alive at t0 with state (z, mu) = (Z(t0), C(t0)), the
-    continued value Z(t0 + s) and an independent restart from z with drift
-    parameter lam - mu run for s carry the same law; the report compares the
-    two populations (KS distance, first-moment delta) and leaves ``tolerance``
-    and ``passed`` unset: the selfsim suite grades it.
-    """
-    from .analysis import ComparisonReport, ks_statistic
-
-    if not (t0 > 0 and s >= 0):
-        raise ValueError(f"need t0 > 0 and s >= 0, got t0={t0}, s={s}")
-    steps1 = int(round(t0 / dt))
-    steps2 = int(round(s / dt))
-    z1, c1, ab1 = sde_ensemble(np.full(N, float(x)), lam, dt, steps1, rng)
-    alive = ab1 < 0
-    n_alive = int(alive.sum())
-    if n_alive < N / 10:
-        raise InsufficientSampleError(
-            f"only {n_alive} of {N} paths alive at t0={t0}; need at least N/10"
-        )
-    if steps2 == 0:
-        continued = z1[alive].copy()
-        restarted = z1[alive].copy()
-    else:
-        continued, _, _ = sde_ensemble(z1[alive], lam, dt, steps2, rng, c0=c1[alive])
-        restarted, _, _ = sde_ensemble(z1[alive], lam - c1[alive], dt, steps2, rng)
-    ks = ks_statistic(continued, restarted)
-    mean_delta = float(continued.mean() - restarted.mean())
-    se = math.sqrt(continued.var(ddof=1) / n_alive + restarted.var(ddof=1) / n_alive)
-    return ComparisonReport(
-        test_name="self-similarity-restart",
-        statistic=ks,
-        N=N,
-        details={
-            "paths_alive_at_t0": n_alive,
-            "mean_delta": mean_delta,
-            "mean_delta_se": se,
-            "noise_floor_95": 1.36 * math.sqrt(2.0 / n_alive),
-        },
-    )

@@ -79,12 +79,12 @@ class GeneralWindow:
     def theta(self, n: int) -> float:
         return self.epsilon * float(np.cbrt(float(n)))
 
-    def regime_ok(self, n: int, threshold: float = 10.0) -> bool:
-        """Whether epsilon**3 * n exceeds `threshold`.
+    def regime_ok(self, n: int) -> bool:
+        """Whether epsilon**3 * n exceeds 10.
 
         Recorded in reports/manifests; runs violating it are not rejected.
         """
-        return self.epsilon**3 * n > threshold
+        return self.epsilon**3 * n > 10.0
 
     def describe(self) -> dict:
         return {"window": "general", "lambda": self.lam, "epsilon": self.epsilon}
@@ -155,13 +155,16 @@ class RunConfig:
 def derive_k(config: RunConfig) -> int:
     """Number of roots / initially infected: floor(n**(1/3) x) or floor(eps**2 n x).
 
-    k = 0 is a configuration error (ask for larger x or n); k > n likewise.
+    k = 0 is a configuration error (ask for larger x or n); k > n, or overflow, likewise.
     """
-    if isinstance(config.window, AldousWindow):
-        y = config.x * float(np.cbrt(float(config.n)))
-    else:
-        y = config.window.epsilon**2 * config.n * config.x
-    k = _floor_guarded(y)
+    try:
+        if isinstance(config.window, AldousWindow):
+            y = config.x * float(np.cbrt(float(config.n)))
+        else:
+            y = config.window.epsilon**2 * config.n * config.x
+        k = _floor_guarded(y)
+    except OverflowError:
+        raise ConfigError(f"derived k exceeds n = {config.n}; decrease x or epsilon") from None
     if k < 1:
         raise ConfigError(
             f"derived k = 0 for n={config.n}, x={config.x}; increase x or n"

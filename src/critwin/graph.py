@@ -46,7 +46,6 @@ class GraphSample:
     """An undirected simple graph in CSR form with sorted neighbor lists."""
 
     n: int
-    p: float
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -104,7 +103,7 @@ class WalkPath:
     components_opened: int
 
 
-def graph_from_edges(n: int, p: float, u, v) -> GraphSample:
+def graph_from_edges(n: int, u, v) -> GraphSample:
     """Assemble CSR adjacency from endpoint arrays (each edge listed once)."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -115,7 +114,7 @@ def graph_from_edges(n: int, p: float, u, v) -> GraphSample:
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return GraphSample(n=n, p=p, indptr=indptr, indices=indices)
+    return GraphSample(n=n, indptr=indptr, indices=indices)
 
 
 def _pairs_from_linear(n: int, lin: np.ndarray):
@@ -155,7 +154,7 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
         raise ValueError(f"p must lie in [0,1], got {p}")
     m = n * (n - 1) // 2
     if m == 0 or p == 0.0:
-        return graph_from_edges(n, p, [], [])
+        return graph_from_edges(n, [], [])
     if m <= _DENSE_PAIR_LIMIT:
         lin = np.nonzero(rng.random(m) < p)[0]
     elif p == 1.0:
@@ -176,7 +175,7 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
             break
         lin = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     u, v = _pairs_from_linear(n, lin)
-    return graph_from_edges(n, p, u, v)
+    return graph_from_edges(n, u, v)
 
 
 def explore_from_roots(graph: GraphSample, roots) -> Exploration:

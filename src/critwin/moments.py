@@ -30,6 +30,8 @@ __all__ = ["BoundSweep", "bound_sweep", "SWEEP_QUANTITIES"]
 
 SWEEP_QUANTITIES = ("mu_dev", "sigma2_dev", "kappa_abs")
 
+_N_LIST = (10**3, 10**4, 10**5, 10**6)  # populations, four decades
+_LAM = 1.0  # Aldous-window lambda
 _R = 1.0  # box size in units of n**(1/3) infectives
 _T = 1.0  # box duration in units of n**(1/3) generations
 _GRID_POINTS = 64  # lattice points per axis, before rounding merges any
@@ -70,16 +72,14 @@ def _grid(limit: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0.0, limit, _GRID_POINTS)).astype(np.int64))
 
 
-def bound_sweep(n_list, window: AldousWindow) -> BoundSweep:
+def bound_sweep() -> BoundSweep:
     """Sup of the three deviation quantities over the state box, for each n.
 
     Deterministic: no RNG anywhere.
     """
-    if not isinstance(window, AldousWindow):
-        raise ValueError(f"bound_sweep takes an AldousWindow, got {window!r}")
-    n_list = tuple(int(n) for n in n_list)
+    window = AldousWindow(_LAM)
     sups = {quantity: [] for quantity in SWEEP_QUANTITIES}
-    for n in n_list:
+    for n in _N_LIST:
         p = edge_probability(window, n)
         cbrt_n = float(np.cbrt(float(n)))
         zs = _grid(int(cbrt_n * _R))
@@ -91,10 +91,10 @@ def bound_sweep(n_list, window: AldousWindow) -> BoundSweep:
         sups["sigma2_dev"].append(float(np.abs(sigma2 - ref).max()))
         sups["kappa_abs"].append(float(np.abs(kappa).max()))
     return BoundSweep(
-        n_list=n_list,
+        n_list=_N_LIST,
         sups={quantity: tuple(vals) for quantity, vals in sups.items()},
         slopes={
-            quantity: fit_loglog_slope(list(zip(n_list, sups[quantity])))
+            quantity: fit_loglog_slope(list(zip(_N_LIST, sups[quantity])))
             for quantity in SWEEP_QUANTITIES
         },
     )

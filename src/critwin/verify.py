@@ -26,11 +26,10 @@ grade themselves.
 """
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -46,11 +45,11 @@ from .continuum import (
     hitting_ensemble,
     lamperti_marginals,
     sde_ensemble,
-    self_similarity_test,
 )
 from .core import (
     AldousWindow,
     ConfigError,
+    CritwinError,
     GeneralWindow,
     InvalidWindowError,
     RunConfig,
@@ -70,6 +69,7 @@ from .moments import bound_sweep
 __all__ = [
     "DEFAULT_SEED",
     "SUITES",
+    "InsufficientSampleError",
     "run_suite",
     "exhaustive_profile_distribution",
     "total_variation",
@@ -77,6 +77,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260810
+
+
+class InsufficientSampleError(CritwinError):
+    """Too few paths survived to the comparison time."""
 
 
 def total_variation(dist_a: dict, dist_b: dict) -> float:
@@ -98,7 +102,7 @@ def _profile_table(n: int, k: int):
         chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         u = [e[0] for e in chosen]
         v = [e[1] for e in chosen]
-        g = graph_from_edges(n, 0.0, u, v)
+        g = graph_from_edges(n, u, v)
         edge_count = len(chosen)
         for roots in rootsets:
             expl = explore_from_roots(g, np.asarray(roots, dtype=np.int64))
@@ -189,14 +193,9 @@ def suite_identities(seed: int) -> ComparisonReport:
     )
 
 
-def moments_sweep():
-    """The pinned sweep graded by `suite_moments` (also exported to CSV)."""
-    return bound_sweep((10**3, 10**4, 10**5, 10**6), AldousWindow(1.0))
-
-
 def suite_moments(seed: int) -> ComparisonReport:
     """Decay slopes of the moment-deviation sups across four decades of n."""
-    sweep = moments_sweep()
+    sweep = bound_sweep()
     slope_mu, se_mu = sweep.slopes["mu_dev"]
     slope_s2, se_s2 = sweep.slopes["sigma2_dev"]
     slope_k, se_k = sweep.slopes["kappa_abs"]
@@ -395,13 +394,41 @@ def suite_deterministic(seed: int) -> ComparisonReport:
 
 
 def suite_selfsim(seed: int) -> ComparisonReport:
-    """Restart test for the SDE pair at x=1, lam=0, t0=s=0.25; KS <= 0.05."""
-    report = self_similarity_test(
-        1.0, 0.0, 0.25, 0.25, 5000, 1e-4, make_stream(seed, 0, "selfsim")
-    )
+    """Restart test for the SDE pair at x=1, lam=0, t0=s=0.25; KS <= 0.05.
+
+    For each path alive at t0 with state (z, mu) = (Z(t0), C(t0)), the
+    continued value Z(t0 + s) and an independent restart from z with drift
+    parameter lam - mu run for s carry the same law; the suite compares the
+    two populations (KS distance, first-moment delta).
+    """
+    x, lam, t0, s, N, dt = 1.0, 0.0, 0.25, 0.25, 5000, 1e-4
+    rng = make_stream(seed, 0, "selfsim")
+    z1, c1, ab1 = sde_ensemble(np.full(N, x), lam, dt, int(round(t0 / dt)), rng)
+    alive = ab1 < 0
+    n_alive = int(alive.sum())
+    if n_alive < N / 10:
+        raise InsufficientSampleError(
+            f"only {n_alive} of {N} paths alive at t0={t0}; need at least N/10"
+        )
+    steps = int(round(s / dt))
+    continued, _, _ = sde_ensemble(z1[alive], lam, dt, steps, rng, c0=c1[alive])
+    restarted, _, _ = sde_ensemble(z1[alive], lam - c1[alive], dt, steps, rng)
+    ks = ks_statistic(continued, restarted)
+    se = math.sqrt(continued.var(ddof=1) / n_alive + restarted.var(ddof=1) / n_alive)
     tol = 0.05
-    return dataclasses.replace(
-        report, tolerance=tol, passed=report.statistic <= tol, seed=seed
+    return ComparisonReport(
+        test_name="self-similarity-restart",
+        statistic=ks,
+        tolerance=tol,
+        passed=ks <= tol,
+        N=N,
+        seed=seed,
+        details={
+            "paths_alive_at_t0": n_alive,
+            "mean_delta": float(continued.mean() - restarted.mean()),
+            "mean_delta_se": se,
+            "noise_floor_95": 1.36 * math.sqrt(2.0 / n_alive),
+        },
     )
 
 
@@ -484,12 +511,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int | None = None, **kwargs) -> ComparisonReport:
-    """Run suite ``name`` at ``seed`` (DEFAULT_SEED when None).
-
-    An unknown suite, a negative seed, a keyword the suite does not take, or
-    ``replicates`` below 1 raises ConfigError before the suite starts.
-    """
+def _checked_suite(name: str, seed: int | None, kwargs: dict):
+    """The call that `run_suite` makes, once its arguments are checked."""
     if name not in SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
@@ -506,4 +529,13 @@ def run_suite(name: str, seed: int | None = None, **kwargs) -> ComparisonReport:
         )
     if kwargs.get("replicates", 1) < 1:
         raise ConfigError(f"replicates must be >= 1, got {kwargs['replicates']}")
-    return suite(seed=DEFAULT_SEED if seed is None else seed, **kwargs)
+    return partial(suite, seed=DEFAULT_SEED if seed is None else seed, **kwargs)
+
+
+def run_suite(name: str, seed: int | None = None, **kwargs) -> ComparisonReport:
+    """Run suite ``name`` at ``seed`` (DEFAULT_SEED when None).
+
+    An unknown suite, a negative seed, a keyword the suite does not take, or
+    ``replicates`` below 1 raises ConfigError before the suite starts.
+    """
+    return _checked_suite(name, seed, kwargs)()

@@ -35,7 +35,6 @@ def test_simulate_trace_all_infected_at_start():
     assert tr.C.tolist() == [4]
     assert tr.absorbed_at == 1
     assert not tr.truncated
-    assert tr.profile() == (4, 0)
 
 
 def test_simulate_trace_structure_and_absorption():
@@ -46,9 +45,10 @@ def test_simulate_trace_structure_and_absorption():
         assert np.all(tr.Z > 0)
         assert np.array_equal(np.cumsum(tr.Z), tr.C)
         assert tr.C[-1] <= cfg.n
-        if not tr.truncated:
+        if tr.truncated:
+            assert tr.absorbed_at is None
+        else:
             assert tr.absorbed_at == tr.Z.size
-            assert tr.profile()[-1] == 0
 
 
 def test_simulate_trace_mean_first_generation():

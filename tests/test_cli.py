@@ -184,6 +184,25 @@ def test_unwritable_out_dir_exits_two(tmp_path, capsys):
     assert "i/o" in err.lower()
 
 
+def test_verify_makes_out_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+
+    def suite(seed):
+        ran.append(seed)
+        return critwin.ComparisonReport(test_name="stub", statistic=0.0, passed=True)
+
+    monkeypatch.setitem(critwin.verify.SUITES, "moments", suite)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a dir")
+    code, stdout, err = run_cli(
+        capsys, "verify", "--suite", "moments", "--out", str(blocker / "sub")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+    assert ran == []
+
+
 def test_continuum_deterministic_emits_closed_form(tmp_path, capsys):
     out = tmp_path / "d"
     code, _, _ = run_cli(
@@ -284,6 +303,11 @@ GOLDEN = {
         "parabolic_0000.csv": "6b301e2e2c323f2bd14e8fe06532cc06ac7f6e7a0a370f27a87f7b6d7e819acc",
         "parabolic_0001.csv": "f7956afedc2e4ec6f213aa0c93b66987cc4a421e84ace6071c885b27bda968d9",
     },
+    # recorded later, before `SdePath` dropped its `dt` field
+    ("lamperti", "1", "1"): {
+        "lamperti_0000.csv": "947b37316b5e4b7dc4ebd4d6b862dc92d242f82118c3dde6d09bff49670281ef",
+        "lamperti_0001.csv": "8cc32f099e89d9606d33bafc1e9e4ef17cee28f5c506026532d35d1ac41bdf4f",
+    },
 }
 
 
@@ -298,6 +322,29 @@ def test_continuum_single_path_digests_are_golden(tmp_path, capsys, key):
     )
     assert code == 0
     assert json.loads(stdout)["outputs"] == GOLDEN[key]
+
+
+# SHA-256 of every CSV of a graph run with the walk and of a chain run,
+# recorded before `GraphSample` and `EpidemicTrace` dropped their unread fields.
+SIMULATE_GOLDEN = {
+    ("simulate-graph", "--n", "20000", "--x", "1", "--walk"): {
+        "cousin_0000.csv": "a2a09cddec5eef3f3f5292f47170b97c30d217c5f1055ea94cc2ccd585cc4ea5",
+        "trace_0000.csv": "35030d76a7b28ab835fa5a223561f06c1d3e593358ce44926ab5bee18941dd4e",
+        "walk_0000.csv": "bd2f2f5d0e0aeb281114bc661b6468170d2b2c21f44df15346a598b01581efa6",
+    },
+    ("simulate-chain", "--n", "100000", "--x", "1", "--replicates", "3"): {
+        "trace_0000.csv": "86734e0a76516756665def7d103c2e6ca2a6fc38660137768939bfe15ed822b3",
+        "trace_0001.csv": "2652884ab67a36f2cc83d812c238894c3f83838335a91ae26d1a755b995d59d3",
+        "trace_0002.csv": "c9f3a1c14575b74173c2a18d0f61d8804a68ef2d50b7f5fac5c8b97f16cfdc1f",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SIMULATE_GOLDEN))
+def test_simulate_digests_are_golden(tmp_path, capsys, argv):
+    code, stdout, _ = run_cli(capsys, *argv, "--seed", "7", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert json.loads(stdout)["outputs"] == SIMULATE_GOLDEN[argv]
 
 
 @pytest.mark.parametrize("command", [
@@ -356,6 +403,10 @@ BAD_INPUT = {
     "continuum-x-inf": ((*_SDE, "--x", "inf"), {}),
     "continuum-lambda-nan": ((*_SDE, "--lambda", "nan"), {}),
     "hitting-t-max-inf": (("continuum", "--kind", "hitting", "--t-max", "inf"), {}),
+    "chain-epsilon-overflow": (
+        ("simulate-chain", "--n", "100", "--x", "1", "--window", "general",
+         "--epsilon", "1e200"), {}
+    ),
     "deterministic-lambda-nan": (
         ("continuum", "--kind", "deterministic", "--lambda", "nan"), {}
     ),

@@ -19,7 +19,7 @@ from critwin.verify import exhaustive_profile_distribution, run_suite, total_var
 
 
 def path_graph():
-    return graph_from_edges(3, 0.5, [0, 1], [1, 2])
+    return graph_from_edges(3, [0, 1], [1, 2])
 
 
 def test_sample_graph_p_zero_and_one():
@@ -172,7 +172,7 @@ def test_cousin_series_empty_graph_all_roots():
 
 
 def test_cousin_series_star_center_root():
-    g = graph_from_edges(5, 0.5, [0, 0, 0, 0], [1, 2, 3, 4])
+    g = graph_from_edges(5, [0, 0, 0, 0], [1, 2, 3, 4])
     series = cousin_series(explore_from_roots(g, [0]))
     assert series.csn.tolist() == [1, 4, 4, 4, 4]
     assert series.Z.tolist() == [1, 4]
@@ -258,7 +258,7 @@ def _graph_walk_law(n, p):
     law = {}
     for mask in range(1 << m):
         chosen = [pairs[i] for i in range(m) if mask >> i & 1]
-        g = graph_from_edges(n, p, [e[0] for e in chosen], [e[1] for e in chosen])
+        g = graph_from_edges(n, [e[0] for e in chosen], [e[1] for e in chosen])
         weight = p ** len(chosen) * (1 - p) ** (m - len(chosen)) / len(perms)
         for perm in perms:
             walk = breadth_first_walk(g, _FixedPermutation(perm))
@@ -405,7 +405,7 @@ def test_profile_distribution_matches_enumeration(n, k, p):
     profiles = []
     for mask in range(1 << m):
         chosen = [pairs[i] for i in range(m) if mask >> i & 1]
-        g = graph_from_edges(n, p, [e[0] for e in chosen], [e[1] for e in chosen])
+        g = graph_from_edges(n, [e[0] for e in chosen], [e[1] for e in chosen])
         for roots in rootsets:
             expl = explore_from_roots(g, np.asarray(roots))
             profiles.append(tuple(int(z) for z in cousin_series(expl).Z) + (0,))
@@ -427,13 +427,13 @@ def test_profile_distribution_matches_enumeration(n, k, p):
 
 def test_profile_table_matches_direct_pipeline():
     """Spot-check that tabulated profiles equal fresh explorations."""
-    n, k, p = 4, 2, 0.6
+    n, k = 4, 2
     pairs = list(itertools.combinations(range(n), 2))
     rng = make_stream(43, 0, "spot")
     for _ in range(200):
         mask = int(rng.integers(0, 1 << len(pairs)))
         chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = graph_from_edges(n, p, [e[0] for e in chosen], [e[1] for e in chosen])
+        g = graph_from_edges(n, [e[0] for e in chosen], [e[1] for e in chosen])
         roots = sorted(rng.choice(n, size=k, replace=False).tolist())
         expl = explore_from_roots(g, np.asarray(roots))
         series = cousin_series(expl)

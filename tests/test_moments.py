@@ -91,16 +91,11 @@ def test_kappa_oracle_guards_wide_support():
 
 
 def test_bound_sweep_deterministic_and_exports():
-    n_list = (10**3, 10**4, 10**5)
-    a = bound_sweep(n_list, AldousWindow(1.0))
-    b = bound_sweep(n_list, AldousWindow(1.0))
+    a = bound_sweep()
+    b = bound_sweep()
+    assert a.n_list == (10**3, 10**4, 10**5, 10**6)
     assert a.sups == b.sups
     assert a.slopes == b.slopes
     rows = list(a.rows())
-    assert len(rows) == 3 * len(n_list)
+    assert len(rows) == 3 * len(a.n_list)
     assert all(len(r) == 3 for r in rows)
-
-
-def test_bound_sweep_takes_only_the_aldous_window():
-    with pytest.raises(ValueError, match="AldousWindow"):
-        bound_sweep((10**3, 10**4), GeneralWindow(lam=1.0, epsilon=0.1))
