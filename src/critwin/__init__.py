@@ -7,13 +7,8 @@ grades the two layers against each other statistically.
 """
 from .analysis import (
     ComparisonReport,
-    RescaledPath,
     fit_loglog_slope,
     ks_statistic,
-    ks_two_sample,
-    rescale,
-    scale_pair,
-    sup_distance,
 )
 from .chain import (
     EpidemicTrace,

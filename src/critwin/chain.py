@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    AldousWindow,
     ConfigError,
     RngStream,
     RunConfig,
@@ -30,7 +29,6 @@ from .core import (
 __all__ = [
     "EpidemicTrace",
     "q_from_p",
-    "default_max_steps",
     "simulate_trace",
     "exact_profile_distribution",
     "csn_at_indices",
@@ -63,23 +61,16 @@ def q_from_p(p: float, z: int) -> float:
     return -math.expm1(z * math.log1p(-p))
 
 
-def default_max_steps(config: RunConfig) -> int:
-    """Far above diameter-scale heights, so truncation is negligible."""
-    if isinstance(config.window, AldousWindow):
-        return 50 * math.ceil(float(np.cbrt(float(config.n))))
-    return 50 * math.ceil(1.0 / config.window.epsilon)
-
-
 def simulate_trace(
     config: RunConfig, max_steps: int | None = None, *, rng: RngStream
 ) -> EpidemicTrace:
     """Run the chain from (k, k) until absorption or max_steps generations.
 
-    Non-absorption within max_steps flags the trace truncated; it is not an
-    error.
+    max_steps defaults to the window's generation cap.  Non-absorption
+    within max_steps flags the trace truncated; it is not an error.
     """
     if max_steps is None:
-        max_steps = default_max_steps(config)
+        max_steps = config.window.max_steps(config.n)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     n = config.n

@@ -44,16 +44,53 @@ class ConfigError(CritwinError):
     """A run configuration is unusable (bad key, k = 0, ...)."""
 
 
+def _scale_row(kind: str, table: dict) -> tuple:
+    if kind not in table:
+        raise ValueError(f"unknown series kind {kind!r}; expected one of {tuple(table)}")
+    return table[kind]
+
+
 @dataclass(frozen=True)
 class AldousWindow:
-    """Critical window with p(n) = 1/n + lam * n**(-4/3)."""
+    """Critical window with p(n) = 1/n + lam * n**(-4/3).
+
+    A raw series becomes a path on a real grid by multiplying its values by a
+    space scale and its indices by a time scale; with c = n**(1/3):
+
+        series  space scale   time scale
+        Z       1/c           1/c
+        C       1/c**2        1/c
+        csn     1/c           1/c**2
+        K       1/n           1/c**2
+        walk    1/c           1/c**2
+    """
 
     lam: float
 
     def probability(self, n: int) -> float:
         return 1.0 / n + self.lam * float(n) ** (-4.0 / 3.0)
 
-    def describe(self) -> dict:
+    def root_mass(self, n: int, x: float) -> float:
+        """The unfloored root count n**(1/3) x."""
+        return x * float(np.cbrt(float(n)))
+
+    def max_steps(self, n: int) -> int:
+        """Generation cap far above diameter-scale heights, so truncation is negligible."""
+        return 50 * math.ceil(float(np.cbrt(float(n))))
+
+    def scales(self, kind: str, n: int) -> tuple:
+        """(space_scale, time_scale) of series ``kind`` at size n."""
+        nf = float(n)
+        cbrt = float(np.cbrt(nf))
+        return _scale_row(kind, {
+            "Z": (1.0 / cbrt, 1.0 / cbrt),
+            "C": (1.0 / cbrt**2, 1.0 / cbrt),
+            "csn": (1.0 / cbrt, 1.0 / cbrt**2),
+            "K": (1.0 / nf, 1.0 / cbrt**2),
+            "walk": (1.0 / cbrt, 1.0 / cbrt**2),
+        })
+
+    def describe(self, n: int) -> dict:
         return {"window": "aldous", "lambda": self.lam}
 
 
@@ -63,7 +100,15 @@ class GeneralWindow:
 
     ``theta(n) = epsilon * n**(1/3)`` is the natural auxiliary scale; the
     intended regime has epsilon -> 0 with epsilon**3 * n -> infinity, i.e.
-    theta(n) -> infinity while theta(n) = o(n**(1/3)).
+    theta(n) -> infinity while theta(n) = o(n**(1/3)).  Series scales at
+    size n, as in `AldousWindow`:
+
+        series  space scale            time scale
+        Z       1/(n eps**2)           eps
+        C       1/(n eps)              eps
+        csn     1/(n eps**2)           1/(n eps)
+        K       1/(n**2 eps**3)        1/(n eps)
+        walk    theta**-2 n**(-1/3)    theta**-1 n**(-2/3)
     """
 
     lam: float
@@ -83,11 +128,43 @@ class GeneralWindow:
         """Whether epsilon**3 * n exceeds 10.
 
         Recorded in reports/manifests; runs violating it are not rejected.
+        An epsilon**3 past the float range is far above 10.
         """
-        return self.epsilon**3 * n > 10.0
+        try:
+            return self.epsilon**3 * n > 10.0
+        except OverflowError:
+            return True
 
-    def describe(self) -> dict:
-        return {"window": "general", "lambda": self.lam, "epsilon": self.epsilon}
+    def root_mass(self, n: int, x: float) -> float:
+        """The unfloored root count epsilon**2 n x."""
+        return self.epsilon**2 * n * x
+
+    def max_steps(self, n: int) -> int:
+        """Generation cap far above diameter-scale heights, so truncation is negligible."""
+        return 50 * math.ceil(1.0 / self.epsilon)
+
+    def scales(self, kind: str, n: int) -> tuple:
+        """(space_scale, time_scale) of series ``kind`` at size n."""
+        nf = float(n)
+        eps = float(self.epsilon)
+        cbrt = float(np.cbrt(nf))
+        theta = eps * cbrt
+        return _scale_row(kind, {
+            "Z": (1.0 / (nf * eps**2), eps),
+            "C": (1.0 / (nf * eps), eps),
+            "csn": (1.0 / (nf * eps**2), 1.0 / (nf * eps)),
+            "K": (1.0 / (nf**2 * eps**3), 1.0 / (nf * eps)),
+            "walk": (1.0 / (cbrt * theta**2), 1.0 / (cbrt**2 * theta)),
+        })
+
+    def describe(self, n: int) -> dict:
+        return {
+            "window": "general",
+            "lambda": self.lam,
+            "epsilon": self.epsilon,
+            "theta": self.theta(n),
+            "regime_ok": self.regime_ok(n),
+        }
 
 
 CriticalWindow = Union[AldousWindow, GeneralWindow]
@@ -144,11 +221,8 @@ class RunConfig:
 
     def describe(self) -> dict:
         d = {"n": self.n, "x": self.x, "seed": self.seed, "replicates": self.replicates}
-        d.update(self.window.describe())
+        d.update(self.window.describe(self.n))
         d["k"] = self.k
-        if isinstance(self.window, GeneralWindow):
-            d["theta"] = self.window.theta(self.n)
-            d["regime_ok"] = self.window.regime_ok(self.n)
         return d
 
 
@@ -158,11 +232,7 @@ def derive_k(config: RunConfig) -> int:
     k = 0 is a configuration error (ask for larger x or n); k > n, or overflow, likewise.
     """
     try:
-        if isinstance(config.window, AldousWindow):
-            y = config.x * float(np.cbrt(float(config.n)))
-        else:
-            y = config.window.epsilon**2 * config.n * config.x
-        k = _floor_guarded(y)
+        k = _floor_guarded(config.window.root_mass(config.n, config.x))
     except OverflowError:
         raise ConfigError(f"derived k exceeds n = {config.n}; decrease x or epsilon") from None
     if k < 1:

@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .analysis import ComparisonReport, ks_statistic, scale_pair
+from .analysis import ComparisonReport, ks_statistic
 from .chain import (
     K_at_indices,
     csn_at_indices,
@@ -221,10 +221,11 @@ def suite_moments(seed: int) -> ComparisonReport:
 def suite_zlimit(seed: int) -> ComparisonReport:
     """Height-profile limit at t=1 (KS <= 0.06) and total mass vs hitting time."""
     n, x, lam, N, dt = 10**6, 1.0, 0.0, 2000, 1e-4
-    space_z, time_z = scale_pair("aldous", "Z", n)
-    space_c, _ = scale_pair("aldous", "C", n)
+    window = AldousWindow(lam)
+    space_z, time_z = window.scales("Z", n)
+    space_c, _ = window.scales("C", n)
     # per-replicate chain Z at rescaled time 1 and the total infected count
-    cfg = RunConfig(n=n, x=x, window=AldousWindow(lam), seed=seed, replicates=N)
+    cfg = RunConfig(n=n, x=x, window=window, seed=seed, replicates=N)
     h_at_t1 = int(round(1.0 / time_z))
     chain_z1 = np.empty(N)
     chain_total = np.empty(N)
@@ -289,13 +290,12 @@ def suite_lamperti(seed: int) -> ComparisonReport:
 
 
 def _general_traces(seed: int, n: int, x: float, lam: float, replicates: int):
-    eps = float(n) ** (-0.2)
-    window = GeneralWindow(lam=lam, epsilon=eps)
+    window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
     cfg = RunConfig(n=n, x=x, window=window, seed=seed, replicates=replicates)
     traces = [
         simulate_trace(cfg, rng=make_stream(seed, r, "chain")) for r in range(replicates)
     ]
-    return eps, traces
+    return window, traces
 
 
 def _drifting_window_sup(
@@ -307,10 +307,10 @@ def _drifting_window_sup(
     of [0, 0.9 t0].
     """
     n, x, lam = 10**7, 1.0, 0.0
-    eps, traces = _general_traces(seed, n, x, lam, replicates)
+    window, traces = _general_traces(seed, n, x, lam, replicates)
     lim = DeterministicLimit(x=x, lam=lam)
     grid = np.linspace(0.0, 0.9 * lim.t0, 50)
-    space, time_scale = scale_pair("general", kind, n, eps)
+    space, time_scale = window.scales(kind, n)
     js = np.floor(grid / time_scale).astype(np.int64)
     acc = np.zeros(grid.size)
     for tr in traces:
@@ -326,7 +326,7 @@ def _drifting_window_sup(
         n=n,
         N=replicates,
         seed=seed,
-        details={"epsilon": eps, "t0": lim.t0, "grid_points": grid.size},
+        details={"epsilon": window.epsilon, "t0": lim.t0, "grid_points": grid.size},
     )
 
 
@@ -435,10 +435,10 @@ def suite_selfsim(seed: int) -> ComparisonReport:
 def suite_components(seed: int, replicates: int = 200) -> ComparisonReport:
     """Rescaled total infected exceeds t0 - eta with frequency >= 0.95."""
     n, x, lam, eta = 10**7, 0.5, 0.0, 0.2
-    eps, traces = _general_traces(seed, n, x, lam, replicates)
+    window, traces = _general_traces(seed, n, x, lam, replicates)
     lim = DeterministicLimit(x=x, lam=lam)
     threshold = lim.t0 - eta
-    rescaled = np.asarray([tr.C[-1] for tr in traces]) * eps / float(np.cbrt(float(n)))
+    rescaled = np.asarray([tr.C[-1] for tr in traces]) * window.scales("C", n)[0]
     freq = float(np.mean(rescaled > threshold))
     return ComparisonReport(
         test_name="component-mass-lower-bound",
@@ -449,7 +449,7 @@ def suite_components(seed: int, replicates: int = 200) -> ComparisonReport:
         N=replicates,
         seed=seed,
         details={
-            "epsilon": eps,
+            "epsilon": window.epsilon,
             "threshold": threshold,
             "rescaled_mean": float(rescaled.mean()),
         },
@@ -463,10 +463,9 @@ def suite_conjecture(seed: int, replicates: int = 40) -> ComparisonReport:
     in the details sums the walks' restarts over replicates.
     """
     n, lam, t_max = 10**6, 1.0, 2.0
-    eps = float(n) ** (-0.2)
-    window = GeneralWindow(lam=lam, epsilon=eps)
+    window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
     p = edge_probability(window, n)
-    space, time_scale = scale_pair("general", "walk", n, eps)
+    space, time_scale = window.scales("walk", n)
     max_index = int(round(t_max / time_scale))
     js = np.unique(np.round(np.linspace(0, max_index, 201)).astype(np.int64))
     acc = np.zeros(js.size)
@@ -490,7 +489,7 @@ def suite_conjecture(seed: int, replicates: int = 40) -> ComparisonReport:
         details={
             "exploratory": True,
             "within_tolerance": sup <= 0.1,
-            "epsilon": eps,
+            "epsilon": window.epsilon,
             "components_opened": components,
         },
     )

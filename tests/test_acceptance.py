@@ -166,13 +166,25 @@ def test_criterion_10_self_similarity():
     assert report.statistic == GOLDEN_STATISTIC["selfsim"]
 
 
-def test_criterion_11_component_mass_bound():
-    report, elapsed = _run("components", 600)
+@pytest.fixture(scope="module")
+def components_report():
+    return _run("components", 600)
+
+
+def test_criterion_11_component_mass_bound(components_report):
+    report, elapsed = components_report
     _line("criterion-11 component-mass", report, elapsed, report.passed)
     assert report.statistic >= 0.95
     assert elapsed < 600
     assert report.passed
     assert report.statistic == GOLDEN_STATISTIC["components"]
+
+
+def test_criterion_11_rescaled_mass_is_near_t0(components_report):
+    # on the drifting-window C scale 1/(n eps) the total infected count tends
+    # to t0 = 1 at x = 1/2, lam = 0; a wrong scale puts the mean far away
+    report, _ = components_report
+    assert abs(report.details["rescaled_mean"] - 1.0) <= 0.05
 
 
 def test_criterion_12_walk_conjecture_exploratory():

@@ -5,76 +5,87 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from critwin import (
+    AldousWindow,
+    ComparisonReport,
+    GeneralWindow,
     fit_loglog_slope,
     ks_statistic,
-    ks_two_sample,
-    rescale,
-    scale_pair,
-    sup_distance,
 )
+
+_KINDS = ("Z", "C", "csn", "K", "walk")
 
 
 def test_rescale_aldous_cousin_example():
     # csn = 100 at index 10**4 with n = 10**6: t = 10**4 * n**(-2/3) = 1.0,
     # y = 100 * n**(-1/3) = 1.0
-    n = 10**6
-    series = np.zeros(10**4 + 1, dtype=np.int64)
-    series[10**4] = 100
-    path = rescale(series, "aldous", "csn", n)
-    assert path.t[10**4] == pytest.approx(1.0, rel=1e-12)
-    assert path.values[10**4] == pytest.approx(1.0, rel=1e-12)
+    space, time = AldousWindow(0.0).scales("csn", 10**6)
+    assert 10**4 * time == pytest.approx(1.0, rel=1e-12)
+    assert 100 * space == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rescale_identity_at_n_one():
     series = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-    path = rescale(series, "aldous", "Z", 1)
-    assert np.array_equal(path.values, series.astype(float))
-    assert np.array_equal(path.t, np.arange(5.0))
+    for window in (AldousWindow(0.0), GeneralWindow(0.0, 1.0)):
+        for kind in _KINDS:
+            space, time = window.scales(kind, 1)
+            assert np.array_equal(series * space, series.astype(float))
+            assert np.array_equal(np.arange(series.size) * time, np.arange(5.0))
 
 
 def test_rescale_general_K_example():
     # K = 10**7 at index 10**5 with n = 10**6, eps = 0.1 maps to (1.0, 0.01)
-    n, eps = 10**6, 0.1
-    series = np.zeros(10**5 + 1, dtype=np.int64)
-    series[10**5] = 10**7
-    path = rescale(series, "general", "K", n, epsilon=eps)
-    assert path.t[10**5] == pytest.approx(1.0, rel=1e-12)
-    assert path.values[10**5] == pytest.approx(0.01, rel=1e-12)
+    space, time = GeneralWindow(lam=0.0, epsilon=0.1).scales("K", 10**6)
+    assert 10**5 * time == pytest.approx(1.0, rel=1e-12)
+    assert 10**7 * space == pytest.approx(0.01, rel=1e-12)
 
 
-def test_rescale_unscale_roundtrip_exact():
-    rng = np.random.default_rng(3)
-    series = rng.integers(0, 10**6, size=257)
-    path = rescale(series, "general", "csn", 10**7, epsilon=0.02)
-    # the raw integer series rides along unchanged
-    assert path.raw.dtype == series.dtype
-    assert np.array_equal(path.raw, series)
-    assert np.array_equal(path.values, series * path.space_scale)
+_EPS7 = float(10**7) ** (-0.2)
+
+# (window, n) -> kind -> (space_scale, time_scale), recorded bit for bit from
+# the table the windows replaced
+_SCALES = [
+    (AldousWindow(0.0), 1, {kind: (1.0, 1.0) for kind in _KINDS}),
+    (GeneralWindow(0.0, 1.0), 1, {kind: (1.0, 1.0) for kind in _KINDS}),
+    (AldousWindow(0.0), 10**6, {
+        "Z": (0.01, 0.01),
+        "C": (0.0001, 0.01),
+        "csn": (0.01, 0.0001),
+        "K": (1e-06, 0.0001),
+        "walk": (0.01, 0.0001),
+    }),
+    (GeneralWindow(0.0, _EPS7), 10**7, {
+        "Z": (6.309573444801935e-05, 0.03981071705534972),
+        "C": (2.51188643150958e-06, 0.03981071705534972),
+        "csn": (6.309573444801935e-05, 2.51188643150958e-06),
+        "K": (1.584893192461114e-10, 2.51188643150958e-06),
+        "walk": (6.309573444801935e-05, 2.5118864315095806e-06),
+    }),
+    (GeneralWindow(0.0, 0.1), 10**6, {
+        "Z": (9.999999999999998e-05, 0.1),
+        "C": (1e-05, 0.1),
+        "csn": (9.999999999999998e-05, 1e-05),
+        "K": (9.999999999999999e-10, 1e-05),
+        "walk": (0.0001, 1e-05),
+    }),
+]
 
 
-def test_rescale_accepts_trace_and_series_objects():
-    from critwin import AldousWindow, RunConfig, cousin_series, explore, make_stream
-    from critwin import sample_graph, simulate_trace
-
-    cfg = RunConfig(n=200, x=1.0, window=AldousWindow(0.0), seed=13)
-    trace = simulate_trace(cfg, rng=make_stream(13, 0, "chain"))
-    path = rescale(trace, "aldous", "Z", cfg.n)
-    assert np.array_equal(path.raw, trace.Z)
-    g = sample_graph(50, 0.03, make_stream(13, 0, "g"))
-    series = cousin_series(explore(g, 2, make_stream(13, 0, "r")))
-    path = rescale(series, "aldous", "csn", 50)
-    assert np.array_equal(path.raw, series.csn)
-    with pytest.raises(ValueError, match="has no"):
-        rescale(trace, "aldous", "csn", cfg.n)
+@pytest.mark.parametrize(
+    "window, n, kind, expected",
+    [
+        pytest.param(w, n, kind, pair, id=f"{w.describe(n)['window']}-{n}-{kind}")
+        for w, n, table in _SCALES
+        for kind, pair in table.items()
+    ],
+)
+def test_window_scales_are_pinned(window, n, kind, expected):
+    assert window.scales(kind, n) == expected
 
 
 def test_rescale_errors():
-    with pytest.raises(ValueError, match="epsilon"):
-        rescale([1, 2], "general", "Z", 100)
-    with pytest.raises(ValueError, match="kind"):
-        rescale([1, 2], "aldous", "bogus", 100)
-    with pytest.raises(ValueError, match="regime"):
-        scale_pair("subcritical", "Z", 100)
+    for window in (AldousWindow(0.0), GeneralWindow(0.0, 0.1)):
+        with pytest.raises(ValueError, match="kind"):
+            window.scales("bogus", 100)
 
 
 def test_ks_identical_samples():
@@ -122,10 +133,8 @@ def test_ks_invariant_under_monotone_transforms(a, b, transform):
     assert after == pytest.approx(before, abs=1e-12)
 
 
-def test_ks_two_sample_report():
-    report = ks_two_sample([1.0, 2.0, 3.0], [1.5, 2.5], tolerance=0.5, test_name="demo")
-    assert report.passed
-    assert report.statistic == pytest.approx(1.0 / 3.0)
+def test_comparison_report_json_keys():
+    report = ComparisonReport(test_name="demo", statistic=1.0 / 3.0, tolerance=0.5, passed=True)
     payload = report.to_json()
     assert set(payload) == {
         "test_name",
@@ -137,29 +146,8 @@ def test_ks_two_sample_report():
         "pass",
         "details",
     }
-    assert payload["details"]["noise_floor_95"] > 0
-
-
-def test_sup_distance_examples():
-    zero = rescale(np.zeros(5, dtype=np.int64), "aldous", "Z", 1)
-    assert sup_distance(zero, lambda t: np.zeros_like(t)) == 0.0
-    ones = rescale(np.ones(5, dtype=np.int64), "aldous", "Z", 1)
-    assert sup_distance(ones, lambda t: np.zeros_like(t), t_range=(0, 4)) == 1.0
-
-
-def test_sup_distance_step_vs_linear():
-    # step path 0 -> 0, 0.5 -> 1 against reference t on [0, 1)
-    path = rescale(np.array([0, 1], dtype=np.int64), "aldous", "Z", 1)
-    scaled = type(path)(
-        t=np.array([0.0, 0.5]),
-        values=path.values,
-        raw=path.raw,
-        space_scale=1.0,
-        time_scale=0.5,
-        regime="aldous",
-        kind="Z",
-    )
-    assert sup_distance(scaled, lambda t: t) == pytest.approx(0.5)
+    assert payload["pass"] is True
+    assert payload["details"] == {}
 
 
 def test_fit_loglog_exact_power_law():

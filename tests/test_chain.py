@@ -13,7 +13,7 @@ from critwin import (
     make_stream,
     simulate_trace,
 )
-from critwin.chain import K_at_indices, csn_at_indices, default_max_steps, q_from_p
+from critwin.chain import K_at_indices, csn_at_indices, q_from_p
 from critwin.graph import cousin_series, explore, sample_graph
 from critwin.verify import exhaustive_profile_distribution, total_variation
 
@@ -75,9 +75,8 @@ def test_simulate_trace_truncation_flag():
 
 
 def test_default_max_steps():
-    assert default_max_steps(RunConfig(n=1000, x=1.0, window=AldousWindow(0.0))) == 500
-    cfg = RunConfig(n=10**6, x=1.0, window=GeneralWindow(lam=0.0, epsilon=0.05))
-    assert default_max_steps(cfg) == 1000
+    assert AldousWindow(0.0).max_steps(1000) == 500
+    assert GeneralWindow(lam=0.0, epsilon=0.05).max_steps(10**6) == 1000
 
 
 def test_exact_profile_single_edge():

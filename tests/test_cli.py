@@ -269,6 +269,20 @@ def test_simulate_chain_manifest_records_max_steps_only_when_given(tmp_path, cap
     assert capped == {**plain, "max_steps": 3}
 
 
+def test_simulate_chain_records_regime_ok_when_epsilon_cubed_overflows(tmp_path, capsys):
+    # k = floor(1e220 * 100 * 1e-220) = 100 and p = 0.01 are fine; eps**3 overflows
+    out = tmp_path / "d"
+    code, _, err = run_cli(
+        capsys,
+        "simulate-chain", "--n", "100", "--x", "1e-220",
+        "--window", "general", "--epsilon", "1e110", "--out", str(out),
+    )
+    assert code == 0, err
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["regime_ok"] is True
+    assert config["k"] == 100
+
+
 def test_continuum_sde_and_hitting(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,

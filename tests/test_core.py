@@ -57,6 +57,7 @@ def test_general_window_regime_flag_recorded_not_enforced():
     w = GeneralWindow(lam=0.0, epsilon=1e-3)
     assert not w.regime_ok(1000)  # eps**3 n tiny
     assert w.regime_ok(10**13)
+    assert GeneralWindow(lam=0.0, epsilon=1e110).regime_ok(100)  # eps**3 overflows
     # a run violating the regime is still constructible
     RunConfig(n=10**6, x=1.0, window=w)
 

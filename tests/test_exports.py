@@ -1,7 +1,12 @@
-"""Every exported name exists, and the package re-exports only exported names."""
+"""Every exported name exists, the package re-exports only exported names, and
+the README's library example runs against the source tree."""
 import ast
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +30,15 @@ def test_package_imports_only_names_in_their_modules_all():
         module = importlib.import_module(f"critwin.{node.module}")
         missing = [a.name for a in node.names if a.name not in module.__all__]
         assert missing == [], node.module
+
+
+def test_readme_library_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
