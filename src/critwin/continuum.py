@@ -60,13 +60,13 @@ def _drift(lam: float, t: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 2_000_000  # standard normals drawn per block, across live paths
-_CHUNK = 256  # paths per stored X grid in `lamperti_marginals`
+_CHUNK = 256  # paths per X buffer fill in `lamperti_marginals`
 
 
 def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
-                   bridge: bool = True, keep: bool = False):
+                   bridge: bool = True, out: np.ndarray | None = None):
     """X on the grid 0, dt, ..., m*dt, one block of columns at a time, and the
-    first passage of x + X to zero; (t_cross, truncated, grid).
+    first passage of x + X to zero; (t_cross, truncated, last).
 
     Each block draws a (live paths, columns) array of standard normals and,
     when ``x`` is given, a same-shaped array of bridge uniforms; the running
@@ -80,17 +80,17 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
     with no event are truncated at m*dt.
 
     With ``x=None`` there is no crossing test: no uniforms are drawn and
-    every path runs to m.  With ``keep`` the (n_paths, last + 1) matrix of X
-    up to the last generated column is returned (cells of a retired path
-    after its last block are left unset), else None.
+    every path runs to m.  ``last`` is the last generated column.  With
+    ``out``, an array of at least (n_paths, m + 1), X is written into
+    ``out[:n_paths, :last + 1]``; cells of a retired path after its last
+    block keep whatever they held, so one buffer serves many calls.
     """
     sq = math.sqrt(dt)
     t_cross = np.full(n_paths, np.inf)
     walk_end = np.zeros(n_paths)  # sum of the normals at the block's left edge
     s_end = np.full(n_paths, np.nan if x is None else float(x))  # x + X there
-    grid = np.empty((n_paths, m + 1)) if keep else None
-    if keep:
-        grid[:, 0] = 0.0
+    if out is not None:
+        out[:n_paths, 0] = 0.0
     live = np.arange(n_paths)
     hi = 0
     while hi < m and live.size:
@@ -100,15 +100,17 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
         walk[:, 1:] = rng.standard_normal((live.size, hi - lo))
         np.cumsum(walk, axis=1, out=walk)
         walk_end[live] = walk[:, -1]
-        xb = walk[:, 1:] * sq + _drift(lam, np.arange(lo + 1, hi + 1) * dt)
-        if keep:
-            grid[live, lo + 1 : hi + 1] = xb
+        xb = walk[:, 1:]  # in place: X on the block's columns
+        xb *= sq
+        xb += _drift(lam, np.arange(lo + 1, hi + 1) * dt)
+        if out is not None:
+            out[live, lo + 1 : hi + 1] = xb
         if x is None:
             continue
         u = rng.random(xb.shape)
         s = walk  # reused: x + X on the block's columns, left edge included
         s[:, 0] = s_end[live]
-        np.add(x, xb, out=s[:, 1:])
+        xb += x
         s_end[live] = s[:, -1]
         t_new = np.full(live.size, np.inf)
         neg = s[:, 1:] <= 0.0
@@ -119,8 +121,14 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
         t_new[r] = (lo + j + a / (a - b)) * dt
         if bridge:
             left, right = s[:, :-1], s[:, 1:]
-            prob = np.exp(-2.0 * np.clip(left * right, 0.0, None) / dt)
-            fired = (left > 0.0) & (right > 0.0) & (u < prob)
+            prob = np.multiply(left, right)  # -> exp(-2 max(ab, 0) / dt)
+            np.clip(prob, 0.0, None, out=prob)
+            prob *= -2.0
+            prob /= dt
+            np.exp(prob, out=prob)
+            fired = np.less(u, prob, out=neg)
+            fired &= left > 0.0
+            fired &= right > 0.0
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_new[r] = np.minimum(t_new[r], t_fire)
@@ -128,7 +136,7 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
         live = live[~crossed]
     truncated = np.isinf(t_cross)
     t_cross[truncated] = m * dt
-    return t_cross, truncated, None if grid is None else grid[:, : hi + 1]
+    return t_cross, truncated, hi
 
 
 def sample_parabolic_bm(
@@ -137,8 +145,10 @@ def sample_parabolic_bm(
     """x_offset + X on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
     if not (dt > 0 and t_max >= dt):
         raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
-    _, _, grid = _first_passage(None, lam, dt, int(round(t_max / dt)), 1, rng, keep=True)
-    return grid[0] + x_offset
+    m = int(round(t_max / dt))
+    path = np.empty((1, m + 1))
+    _first_passage(None, lam, dt, m, 1, rng, out=path)
+    return path[0] + x_offset
 
 
 def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
@@ -216,8 +226,10 @@ def sde_ensemble(
     return z_final, c_final, absorbed_at
 
 
-def _time_change(x, dt, n_steps, xmat, t_cross, record=False):
-    """Euler integration of dC/dt = x + X(C) with linear interpolation.
+def _time_change(x, dt, n_steps, xbuf, last, t_cross, record=False):
+    """Euler integration of dC/dt = x + X(C) with linear interpolation, for
+    the paths whose X `_first_passage` wrote into the rows of ``xbuf`` up to
+    column ``last``.
 
     A path is stopped (Z = 0, C frozen) once C comes within one grid cell of
     its crossing time, or once Z falls to one step's worth of mass (<= dt).
@@ -225,10 +237,11 @@ def _time_change(x, dt, n_steps, xmat, t_cross, record=False):
     a crossing it cannot resolve, while the rough continuum path would absorb
     within O(sqrt(dt)) extra time.  Since t_cross is at or before a path's
     first grid crossing, C stays clear of the cells `_first_passage` leaves
-    unset, which all lie past that crossing.
+    stale, which all lie past that crossing.
     """
-    cn = xmat.shape[0]
-    m = xmat.shape[1] - 1
+    cn = t_cross.size
+    width = xbuf.shape[1]
+    flat = xbuf.reshape(-1)
     z_final = np.zeros(cn)
     c_final = np.zeros(cn)
     absorbed_at = np.full(cn, -1, dtype=np.int64)
@@ -237,31 +250,31 @@ def _time_change(x, dt, n_steps, xmat, t_cross, record=False):
         z_path = np.zeros((cn, n_steps + 1))
         c_path = np.zeros((cn, n_steps + 1))
         z_path[:, 0] = x
-    rows = np.arange(cn)
     za = np.full(cn, float(x))
     ca = np.zeros(cn)
-    ra = rows
+    ra, ta = np.arange(cn), t_cross  # live rows and their crossing times
     inv_dt = 1.0 / dt
     for i in range(1, n_steps + 1):
-        stopping = (t_cross[ra] - ca <= dt) | (za <= dt)
+        stopping = (ta - ca <= dt) | (za <= dt)
         if stopping.any():
             idx = ra[stopping]
             # final-approach stops sit within a couple of cells of the
             # crossing; report that crossing time as the frozen C
-            near = t_cross[idx] - ca[stopping] <= 2.0 * dt
-            c_final[idx] = np.where(near, t_cross[idx], ca[stopping])
+            near = ta[stopping] - ca[stopping] <= 2.0 * dt
+            c_final[idx] = np.where(near, ta[stopping], ca[stopping])
             absorbed_at[idx] = i
             if record:
                 c_path[idx, i:] = c_final[idx, None]
             keep = ~stopping
-            za, ca, ra = za[keep], ca[keep], ra[keep]
+            za, ca, ra, ta = za[keep], ca[keep], ra[keep], ta[keep]
             if ra.size == 0:
                 break
         ca = ca + za * dt
         pos = ca * inv_dt
-        i0 = np.minimum(pos.astype(np.int64), m - 1)
+        i0 = np.minimum(pos.astype(np.int64), last - 1)
         frac = pos - i0
-        xc = xmat[ra, i0] * (1.0 - frac) + xmat[ra, i0 + 1] * frac
+        at = ra * width + i0
+        xc = flat.take(at) * (1.0 - frac) + flat.take(at + 1) * frac
         za = np.maximum(x + xc, 0.0)
         if record:
             z_path[ra, i] = za
@@ -287,9 +300,10 @@ def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
     m = int(round(_default_grid_span(x, lam) / dt))
-    t_cross, _, xmat = _first_passage(x, lam, dt, m, 1, rng, keep=True)
+    xbuf = np.empty((1, m + 1))
+    t_cross, _, last = _first_passage(x, lam, dt, m, 1, rng, out=xbuf)
     _, _, absorbed_at, z_path, c_path = _time_change(
-        x, dt, int(round(t_max / dt)), xmat, t_cross, record=True
+        x, dt, int(round(t_max / dt)), xbuf, last, t_cross, record=True
     )
     ab = int(absorbed_at[0])
     return SdePath(z=z_path[0], c=c_path[0], absorbed_at=None if ab < 0 else ab)
@@ -307,8 +321,10 @@ def lamperti_marginals(
     """Time-change route marginals at t_max for an ensemble of paths.
 
     Returns (z, c, t_cross, truncated); paths are processed in chunks of
-    ``_CHUNK`` to bound the stored X-grid memory.
+    ``_CHUNK`` that share one X buffer, which bounds the stored X-grid memory.
     """
+    if not x > 0:
+        raise ValueError(f"need x > 0, got {x}")
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
     m = int(round(grid_t_max / dt))
@@ -317,10 +333,11 @@ def lamperti_marginals(
     c_out = np.empty(n_paths)
     t_out = np.empty(n_paths)
     trunc_out = np.zeros(n_paths, dtype=bool)
+    xbuf = np.empty((min(_CHUNK, n_paths), m + 1))
     for lo in range(0, n_paths, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, n_paths))
-        t_cross, truncated, xmat = _first_passage(x, lam, dt, m, sl.stop - lo, rng, keep=True)
-        z_out[sl], c_out[sl], _ = _time_change(x, dt, n_steps, xmat, t_cross)
+        t_cross, truncated, last = _first_passage(x, lam, dt, m, sl.stop - lo, rng, out=xbuf)
+        z_out[sl], c_out[sl], _ = _time_change(x, dt, n_steps, xbuf, last, t_cross)
         t_out[sl], trunc_out[sl] = t_cross, truncated
     return z_out, c_out, t_out, trunc_out
 

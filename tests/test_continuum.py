@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,11 +114,12 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
     # interpolated root in the first cell where x + X reaches zero
     monkeypatch.setattr(continuum, "_BLOCK", 64)
     x, dt = 1.0, 1e-2
-    t, truncated, grid = _first_passage(
-        x, 0.0, dt, 1200, 16, make_stream(26, 0, "h"), bridge=False, keep=True
+    grid = np.empty((16, 1201))
+    t, truncated, last = _first_passage(
+        x, 0.0, dt, 1200, 16, make_stream(26, 0, "h"), bridge=False, out=grid
     )
     assert not truncated.any()
-    s = x + grid
+    s = x + grid[:, : last + 1]
     rows = np.arange(16)
     j = np.argmax(s <= 0.0, axis=1)
     a, b = s[rows, j - 1], s[rows, j]
@@ -124,18 +127,74 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
 
 
 def test_time_change_reads_only_generated_segment():
-    # poison every cell after each path's first grid crossing, which covers
-    # the cells left unset after the path retired; run far past absorption
-    x, dt = 1.0, 1e-3
-    t_cross, truncated, grid = _first_passage(
-        x, 0.0, dt, 12_000, 200, make_stream(23, 0, "tc"), keep=True
+    # two chunks share one buffer that starts NaN-filled, as in
+    # `lamperti_marginals`; poison every cell after each path's first grid
+    # crossing, which covers the cells left unset or stale after the path
+    # retired; run far past absorption
+    x, dt, m = 1.0, 1e-3, 12_000
+    buf = np.full((200, m + 1), np.nan)
+    rng = make_stream(23, 0, "tc")
+    for n_paths in (200, 150):
+        t_cross, truncated, last = _first_passage(x, 0.0, dt, m, n_paths, rng, out=buf)
+        assert not truncated.any()
+        grid = buf[:n_paths, : last + 1]
+        first = np.argmax(x + grid <= 0.0, axis=1)
+        buf[:n_paths][np.arange(m + 1) > first[:, None]] = np.nan
+        z, c, _ = _time_change(x, dt, int(round(20.0 / dt)), buf, last, t_cross)
+        assert not np.isnan(z).any()
+        assert not np.isnan(c).any()
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_lamperti_marginals_bytes_pinned():
+    # 700 paths fill two whole chunks and one partial one
+    out = lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 700, make_stream(31, 0, "pin"))
+    assert _digest(*out) == "7a08a5e4fcf731f18490ff997465c75a825c157564ee9f6575a4c644a424496b"
+
+
+def test_hitting_ensemble_bytes_pinned():
+    out = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 500, make_stream(32, 0, "pin"))
+    assert _digest(*out) == "17e84691d6a387c9476f1022d60c3e467553c912a5962f60bfeb05c10b824ac5"
+
+
+def test_lamperti_marginals_holds_one_x_buffer():
+    # three chunks at the suite's dt: the chunks take turns in one buffer,
+    # and the block temporaries stay well under a second one
+    x, lam, dt = 1.0, 0.0, 1e-4
+    m = int(round(continuum._default_grid_span(x, lam) / dt))
+    one_buffer = continuum._CHUNK * (m + 1) * 8
+    tracemalloc.start()
+    try:
+        lamperti_marginals(x, lam, dt, 0.01, 3 * continuum._CHUNK, make_stream(27, 0, "mem"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * one_buffer
+
+
+@pytest.mark.parametrize("x,lam", [(1e-6, 0.0), (1.0, -3.0), (0.05, -5.0)])
+def test_lamperti_marginals_edge_cases(x, lam):
+    # tiny x and very negative lambda: the crossing comes within a few cells
+    dt = 1e-3
+    z, c, t_cross, truncated = lamperti_marginals(
+        x, lam, dt, 2.0, 300, make_stream(29, 0, "edge")
     )
+    assert np.isfinite(z).all() and np.isfinite(c).all()
+    assert (z >= 0.0).all()
     assert not truncated.any()
-    first = np.argmax(x + grid <= 0.0, axis=1)
-    grid[np.arange(grid.shape[1]) > first[:, None]] = np.nan
-    z, c, _ = _time_change(x, dt, int(round(20.0 / dt)), grid, t_cross)
-    assert not np.isnan(z).any()
-    assert not np.isnan(c).any()
+    assert (c <= t_cross + 2 * dt).all()
+
+
+@pytest.mark.parametrize("x", [-0.1, 0.0, math.nan])
+def test_lamperti_marginals_rejects_nonpositive_x(x):
+    with pytest.raises(ValueError, match="need x > 0"):
+        lamperti_marginals(x, 1.0, 1e-3, 1.0, 5, make_stream(22, 0, "v"))
 
 
 def test_lamperti_route_starts_at_x():
