@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True)
-    p_verify.add_argument("--config", type=Path)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--out", type=Path, help="also write report/artifact files")
     return parser
@@ -278,15 +277,7 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    values = parse_config_file(args.config) if args.config else {}
-    extra = sorted(set(values) - {"seed", "replicates"})
-    if extra:
-        raise ConfigError(
-            f"verify --config takes only seed and replicates, got {', '.join(extra)}"
-        )
-    seed = _seed(values.get("seed") if args.seed is None else args.seed, default=None)
-    kwargs = {"replicates": values["replicates"]} if "replicates" in values else {}
-    suite = _checked_suite(args.suite, seed, kwargs)
+    suite = _checked_suite(args.suite, _seed(args.seed, default=None))
     if args.out is not None:
         _ensure_out_dir(args.out)
     t_start = time.monotonic()

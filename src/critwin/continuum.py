@@ -59,6 +59,13 @@ def _drift(lam: float, t: np.ndarray) -> np.ndarray:
     return lam * t - 0.5 * t * t
 
 
+def _grid_steps(dt: float, t_max: float) -> int:
+    """Steps of the grid 0, dt, ..., ~t_max; ValueError unless dt > 0 and t_max >= dt."""
+    if not (dt > 0 and t_max >= dt):
+        raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
+    return int(round(t_max / dt))
+
+
 _BLOCK = 2_000_000  # standard normals drawn per block, across live paths
 _CHUNK = 256  # paths per X buffer fill in `lamperti_marginals`
 
@@ -143,9 +150,7 @@ def sample_parabolic_bm(
     lam: float, x_offset: float, dt: float, t_max: float, rng: RngStream
 ) -> np.ndarray:
     """x_offset + X on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
-    if not (dt > 0 and t_max >= dt):
-        raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
-    m = int(round(t_max / dt))
+    m = _grid_steps(dt, t_max)
     path = np.empty((1, m + 1))
     _first_passage(None, lam, dt, m, 1, rng, out=path)
     return path[0] + x_offset
@@ -153,9 +158,7 @@ def sample_parabolic_bm(
 
 def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
     """One recorded `sde_ensemble` path of (Z, C) on the grid 0, dt, ..., ~t_max."""
-    if not (dt > 0 and t_max >= dt):
-        raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
-    _, _, absorbed_at, z, c = sde_ensemble(x, lam, dt, int(round(t_max / dt)), rng, record=True)
+    _, _, absorbed_at, z, c = sde_ensemble(x, lam, dt, _grid_steps(dt, t_max), rng, record=True)
     ab = int(absorbed_at[0])
     return SdePath(z=z[0], c=c[0], absorbed_at=None if ab < 0 else ab)
 
@@ -287,8 +290,7 @@ def _time_change(x, dt, n_steps, xbuf, last, t_cross, record=False):
 
 
 def _default_grid_span(x: float, lam: float) -> float:
-    t0 = lam + math.sqrt(lam * lam + 2.0 * x)
-    return 3.0 * t0 + 8.0
+    return 3.0 * DeterministicLimit(x, lam).t0 + 8.0
 
 
 def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
@@ -299,11 +301,12 @@ def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
+    n_steps = _grid_steps(dt, t_max)
     m = int(round(_default_grid_span(x, lam) / dt))
     xbuf = np.empty((1, m + 1))
     t_cross, _, last = _first_passage(x, lam, dt, m, 1, rng, out=xbuf)
     _, _, absorbed_at, z_path, c_path = _time_change(
-        x, dt, int(round(t_max / dt)), xbuf, last, t_cross, record=True
+        x, dt, n_steps, xbuf, last, t_cross, record=True
     )
     ab = int(absorbed_at[0])
     return SdePath(z=z_path[0], c=c_path[0], absorbed_at=None if ab < 0 else ab)
@@ -325,10 +328,10 @@ def lamperti_marginals(
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
+    n_steps = _grid_steps(dt, t_max)
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
     m = int(round(grid_t_max / dt))
-    n_steps = int(round(t_max / dt))
     z_out = np.empty(n_paths)
     c_out = np.empty(n_paths)
     t_out = np.empty(n_paths)
@@ -356,7 +359,7 @@ def hitting_ensemble(
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
-    t_hit, truncated, _ = _first_passage(x, lam, dt, int(round(t_max / dt)), n_paths, rng)
+    t_hit, truncated, _ = _first_passage(x, lam, dt, _grid_steps(dt, t_max), n_paths, rng)
     return t_hit, truncated
 
 

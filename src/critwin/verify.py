@@ -17,16 +17,13 @@ Suite map (name -> what is checked, tolerances pinned here):
                 sampled graph-free by `walk_chain`, vs lam t - t**2/2
 
 Every suite is a function of its seed alone: its sizes and tolerances are
-literals in its body.  The only other knob is ``replicates`` on cousin,
-klimit, components and conjecture.  `run_suite` resolves the seed and
-rejects any keyword the suite does not take.
+literals in its body.  `run_suite` resolves the seed.
 
 Only this module and the tests hold expected values; library modules never
 grade themselves.
 """
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from functools import lru_cache, partial
@@ -225,12 +222,10 @@ def suite_zlimit(seed: int) -> ComparisonReport:
     space_z, time_z = window.scales("Z", n)
     space_c, _ = window.scales("C", n)
     # per-replicate chain Z at rescaled time 1 and the total infected count
-    cfg = RunConfig(n=n, x=x, window=window, seed=seed, replicates=N)
     h_at_t1 = int(round(1.0 / time_z))
     chain_z1 = np.empty(N)
     chain_total = np.empty(N)
-    for r in range(N):
-        tr = simulate_trace(cfg, rng=make_stream(seed, r, "chain"))
+    for r, tr in enumerate(_chain_traces(seed, window, n, x, N)):
         chain_z1[r] = tr.Z[h_at_t1] if h_at_t1 < tr.Z.size else 0
         chain_total[r] = tr.C[-1]
     sde_z1, _, _ = sde_ensemble(
@@ -289,31 +284,29 @@ def suite_lamperti(seed: int) -> ComparisonReport:
     )
 
 
-def _general_traces(seed: int, n: int, x: float, lam: float, replicates: int):
-    window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
+def _chain_traces(seed: int, window, n: int, x: float, replicates: int):
+    """Chain traces of replicates 0, 1, ..., each on its own "chain" stream."""
     cfg = RunConfig(n=n, x=x, window=window, seed=seed, replicates=replicates)
-    traces = [
-        simulate_trace(cfg, rng=make_stream(seed, r, "chain")) for r in range(replicates)
-    ]
-    return window, traces
+    for r in range(replicates):
+        yield simulate_trace(cfg, rng=make_stream(seed, r, "chain"))
 
 
 def _drifting_window_sup(
-    test_name: str, seed: int, replicates: int, kind: str, at_indices, reference
+    test_name: str, seed: int, kind: str, at_indices, reference
 ) -> ComparisonReport:
     """Sup distance of the mean rescaled ``kind`` path from ``reference(lim, t)``.
 
     ``at_indices(Z, C, js)`` reads the path off each chain trace on 50 points
     of [0, 0.9 t0].
     """
-    n, x, lam = 10**7, 1.0, 0.0
-    window, traces = _general_traces(seed, n, x, lam, replicates)
+    n, x, lam, replicates = 10**7, 1.0, 0.0, 200
+    window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
     lim = DeterministicLimit(x=x, lam=lam)
     grid = np.linspace(0.0, 0.9 * lim.t0, 50)
     space, time_scale = window.scales(kind, n)
     js = np.floor(grid / time_scale).astype(np.int64)
     acc = np.zeros(grid.size)
-    for tr in traces:
+    for tr in _chain_traces(seed, window, n, x, replicates):
         acc += at_indices(tr.Z, tr.C, js) * space
     mean_path = acc / replicates
     sup = float(np.max(np.abs(mean_path - reference(lim, grid))))
@@ -330,18 +323,18 @@ def _drifting_window_sup(
     )
 
 
-def suite_cousin(seed: int, replicates: int = 200) -> ComparisonReport:
+def suite_cousin(seed: int) -> ComparisonReport:
     """Mean rescaled cousin path vs (x + lam t - t**2/2)+ on [0, 0.9 t0]."""
     return _drifting_window_sup(
-        "drifting-window-cousin-limit", seed, replicates, "csn", csn_at_indices,
+        "drifting-window-cousin-limit", seed, "csn", csn_at_indices,
         lambda lim, t: np.maximum(lim.f(t), 0.0),
     )
 
 
-def suite_klimit(seed: int, replicates: int = 200) -> ComparisonReport:
+def suite_klimit(seed: int) -> ComparisonReport:
     """Mean rescaled cumulative cousin path vs the frozen cubic on [0, 0.9 t0]."""
     return _drifting_window_sup(
-        "drifting-window-cumulative-limit", seed, replicates, "K", K_at_indices,
+        "drifting-window-cumulative-limit", seed, "K", K_at_indices,
         lambda lim, t: lim.k_limit(t),
     )
 
@@ -432,13 +425,14 @@ def suite_selfsim(seed: int) -> ComparisonReport:
     )
 
 
-def suite_components(seed: int, replicates: int = 200) -> ComparisonReport:
+def suite_components(seed: int) -> ComparisonReport:
     """Rescaled total infected exceeds t0 - eta with frequency >= 0.95."""
-    n, x, lam, eta = 10**7, 0.5, 0.0, 0.2
-    window, traces = _general_traces(seed, n, x, lam, replicates)
+    n, x, lam, eta, replicates = 10**7, 0.5, 0.0, 0.2, 200
+    window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
     lim = DeterministicLimit(x=x, lam=lam)
     threshold = lim.t0 - eta
-    rescaled = np.asarray([tr.C[-1] for tr in traces]) * window.scales("C", n)[0]
+    totals = [tr.C[-1] for tr in _chain_traces(seed, window, n, x, replicates)]
+    rescaled = np.asarray(totals) * window.scales("C", n)[0]
     freq = float(np.mean(rescaled > threshold))
     return ComparisonReport(
         test_name="component-mass-lower-bound",
@@ -456,13 +450,13 @@ def suite_components(seed: int, replicates: int = 200) -> ComparisonReport:
     )
 
 
-def suite_conjecture(seed: int, replicates: int = 40) -> ComparisonReport:
+def suite_conjecture(seed: int) -> ComparisonReport:
     """Exploratory: mean rescaled walk vs lam t - t**2/2 on [0, 2].
 
     Reported, never gating: ``passed`` is always True.  ``components_opened``
     in the details sums the walks' restarts over replicates.
     """
-    n, lam, t_max = 10**6, 1.0, 2.0
+    n, lam, t_max, replicates = 10**6, 1.0, 2.0, 40
     window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
     p = edge_probability(window, n)
     space, time_scale = window.scales("walk", n)
@@ -510,7 +504,7 @@ SUITES = {
 }
 
 
-def _checked_suite(name: str, seed: int | None, kwargs: dict):
+def _checked_suite(name: str, seed: int | None):
     """The call that `run_suite` makes, once its arguments are checked."""
     if name not in SUITES:
         raise ConfigError(
@@ -518,23 +512,13 @@ def _checked_suite(name: str, seed: int | None, kwargs: dict):
         )
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    suite = SUITES[name]
-    accepted = set(inspect.signature(suite).parameters) - {"seed"}
-    unknown = sorted(set(kwargs) - accepted)
-    if unknown:
-        raise ConfigError(
-            f"suite {name!r} does not take {', '.join(unknown)}; "
-            f"it takes: {', '.join(['seed', *sorted(accepted)])}"
-        )
-    if kwargs.get("replicates", 1) < 1:
-        raise ConfigError(f"replicates must be >= 1, got {kwargs['replicates']}")
-    return partial(suite, seed=DEFAULT_SEED if seed is None else seed, **kwargs)
+    return partial(SUITES[name], seed=DEFAULT_SEED if seed is None else seed)
 
 
-def run_suite(name: str, seed: int | None = None, **kwargs) -> ComparisonReport:
+def run_suite(name: str, seed: int | None = None) -> ComparisonReport:
     """Run suite ``name`` at ``seed`` (DEFAULT_SEED when None).
 
-    An unknown suite, a negative seed, a keyword the suite does not take, or
-    ``replicates`` below 1 raises ConfigError before the suite starts.
+    An unknown suite or a negative seed raises ConfigError before the suite
+    starts.
     """
-    return _checked_suite(name, seed, kwargs)()
+    return _checked_suite(name, seed)()

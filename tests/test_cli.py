@@ -222,6 +222,26 @@ def test_continuum_deterministic_emits_closed_form(tmp_path, capsys):
     assert float(last[2]) == pytest.approx(math.tanh(1.0), abs=1e-12)
 
 
+# SHA-256 of the curve CSV of the README run and of a run with lambda != 0,
+# the only CLI kind no other digest pins.
+DETERMINISTIC_GOLDEN = {
+    ("0.5", "0", "0.01", "4"): "1cf6977e00056a8690d6c996ac8a45c3771dd2d3e270b8d57e03cb080a17b37a",
+    ("1.3", "-0.7", "0.05", "3"): "930af41867c76b758ddbc6b50e0d76096d1ebed3b89d6d0796299a732cf72357",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DETERMINISTIC_GOLDEN))
+def test_continuum_deterministic_digests_are_golden(tmp_path, capsys, key):
+    x, lam, dt, t_max = key
+    code, stdout, _ = run_cli(
+        capsys,
+        "continuum", "--kind", "deterministic", "--x", x, "--lambda", lam, "--dt", dt,
+        "--t-max", t_max, "--out", str(tmp_path / "d"),
+    )
+    assert code == 0
+    assert json.loads(stdout)["outputs"] == {"deterministic.csv": DETERMINISTIC_GOLDEN[key]}
+
+
 def test_continuum_deterministic_rejects_replicates_before_any_work(tmp_path, capsys):
     out = tmp_path / "d"
     code, stdout, err = run_cli(
@@ -506,30 +526,23 @@ def test_fast_suites_print_one_json_line(capsys, suite):
     assert payload["seed"] == 20260810
 
 
-@pytest.mark.parametrize("suite, config", [
-    ("kernel", "replicates = 5\n"),  # kernel takes no replicates
-    ("identities", "n = 1000\n"),  # verify reads only seed and replicates
-    ("conjecture", "replicates = 0\n"),
-])
-def test_verify_config_rejects_what_the_suite_does_not_take(tmp_path, capsys, suite, config):
+def test_verify_takes_no_config_file(tmp_path, capsys):
+    # every suite is a function of its seed alone, so verify reads no file
     cfg = tmp_path / "v.cfg"
-    cfg.write_text(config)
-    code, stdout, err = run_cli(capsys, "verify", "--suite", suite, "--config", str(cfg))
+    cfg.write_text("seed = 3\n")
+    out = tmp_path / "d"
+    code, stdout, err = run_cli(
+        capsys, "verify", "--suite", "kernel", "--config", str(cfg), "--out", str(out)
+    )
     assert code == 1
     assert stdout == ""
-    assert "error" in err
+    assert "--config" in err
+    assert not out.exists()
 
 
-def test_verify_config_replicates_reach_the_suite(tmp_path, capsys):
-    cfg = tmp_path / "v.cfg"
-    cfg.write_text("seed = 3\nreplicates = 3\n")
-    code, stdout, _ = run_cli(
-        capsys, "verify", "--suite", "conjecture", "--config", str(cfg)
-    )
-    assert code == 0
-    payload = _strict_json(stdout)
-    assert payload["N"] == 3
-    assert payload["seed"] == 3
+def test_run_suite_takes_only_name_and_seed():
+    with pytest.raises(TypeError):
+        critwin.run_suite("conjecture", replicates=3)
 
 
 # Recorded when `--kind hitting` still ran its own serial loop.

@@ -335,3 +335,23 @@ def test_input_validation():
         sde_ensemble(np.array([1.0, -1.0]), 0.0, 1e-3, 10, rng)
     with pytest.raises(ValueError):
         hitting_ensemble(-1.0, 0.0, 1e-3, 1.0, 1, rng)
+
+
+_ENTRY_POINTS = {
+    "sample_parabolic_bm": lambda dt, t_max, rng: sample_parabolic_bm(0.0, 1.0, dt, t_max, rng),
+    "simulate_sde": lambda dt, t_max, rng: simulate_sde(1.0, 0.0, dt, t_max, rng),
+    "lamperti_route": lambda dt, t_max, rng: lamperti_route(1.0, 0.0, dt, t_max, rng),
+    "lamperti_marginals":
+        lambda dt, t_max, rng: lamperti_marginals(1.0, 0.0, dt, t_max, 3, rng),
+    "hitting_ensemble": lambda dt, t_max, rng: hitting_ensemble(1.0, 0.0, dt, t_max, 3, rng),
+}
+
+
+@pytest.mark.parametrize("dt, t_max", [(1e-3, -1.0), (0.0, 1.0), (-1e-3, 1.0),
+                                       (0.1, 0.05), (math.nan, 1.0), (1e-3, math.nan)])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_continuum_entry_points_reject_a_bad_grid(entry, dt, t_max):
+    # a negative horizon once gave T = -1 for every path, and dt = 0 a
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="need dt > 0 and t_max >= dt"):
+        _ENTRY_POINTS[entry](dt, t_max, make_stream(22, 0, "v"))
