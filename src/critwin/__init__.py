@@ -36,7 +36,6 @@ from .core import (
     InvalidWindowError,
     RngStream,
     RunConfig,
-    derive_k,
     edge_probability,
     make_stream,
     parse_config_file,

@@ -22,7 +22,6 @@ from .core import (
     ConfigError,
     RngStream,
     RunConfig,
-    derive_k,
     edge_probability,
 )
 
@@ -74,7 +73,7 @@ def simulate_trace(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     n = config.n
-    k = derive_k(config)
+    k = config.k
     p = edge_probability(config.window, n)
     Z = [k]
     C = [k]

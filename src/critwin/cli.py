@@ -21,6 +21,7 @@ from . import artifacts
 from .chain import simulate_trace
 from .continuum import (
     DeterministicLimit,
+    _grid_steps,
     hitting_ensemble,
     lamperti_route,
     sample_parabolic_bm,
@@ -222,10 +223,7 @@ def cmd_continuum(args) -> int:
             raise ConfigError(f"{name} must be finite, got {val}")
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
-    if dt <= 0:
-        raise ConfigError(f"--dt must be > 0, got {dt}")
-    if t_max < dt:
-        raise ConfigError(f"--t-max must be >= dt, got {t_max}")
+    steps = _grid_steps(dt, t_max)
     if x <= 0:
         raise ConfigError(f"--x must be > 0, got {x}")
     command = f"continuum-{args.kind}"
@@ -237,11 +235,16 @@ def cmd_continuum(args) -> int:
                 "--kind deterministic draws one curve: it takes no --seed, and no "
                 "--replicates or --threads other than 1"
             )
+        limit = DeterministicLimit(x=x, lam=lam)
+        if not abs(lam) < limit.s:  # c(t) takes atanh(-lam / s)
+            raise ConfigError(
+                f"--x {x} is too small beside --lambda {lam}: sqrt(2x + lambda**2) "
+                "rounds to |lambda|, so the curve c(t) is undefined"
+            )
 
         def curve(r: int):
             path = args.out / "deterministic.csv"
-            grid = np.arange(int(round(t_max / dt)) + 1) * dt
-            artifacts.write_deterministic_csv(path, grid, DeterministicLimit(x=x, lam=lam))
+            artifacts.write_deterministic_csv(path, np.arange(steps + 1) * dt, limit)
             return [path]
 
         return _run(args, command, params, 1, curve)

@@ -86,12 +86,15 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
     test removes the O(sqrt(dt)) late bias of grid-only detection.  Paths
     with no event are truncated at m*dt.
 
-    With ``x=None`` there is no crossing test: no uniforms are drawn and
-    every path runs to m.  ``last`` is the last generated column.  With
+    A given ``x`` must be > 0 (ValueError before any draw).  With
+    ``x=None`` there is no crossing test: no uniforms are drawn and every
+    path runs to m.  ``last`` is the last generated column.  With
     ``out``, an array of at least (n_paths, m + 1), X is written into
     ``out[:n_paths, :last + 1]``; cells of a retired path after its last
     block keep whatever they held, so one buffer serves many calls.
     """
+    if x is not None and not x > 0:
+        raise ValueError(f"need x > 0, got {x}")
     sq = math.sqrt(dt)
     t_cross = np.full(n_paths, np.inf)
     walk_end = np.zeros(n_paths)  # sum of the normals at the block's left edge
@@ -169,7 +172,7 @@ def sde_ensemble(
     dt: float,
     n_steps: int,
     rng: RngStream,
-    c0=None,
+    c0=0.0,
     record: bool = False,
 ):
     """Full-truncation Euler-Maruyama for (Z, C), vectorized over paths.
@@ -187,11 +190,7 @@ def sde_ensemble(
     if not np.all(z0 > 0):
         raise ValueError("all starting values must be > 0")
     lam_v = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,)).copy()
-    c_v = (
-        np.zeros(n)
-        if c0 is None
-        else np.broadcast_to(np.asarray(c0, dtype=np.float64), (n,)).copy()
-    )
+    c_v = np.broadcast_to(np.asarray(c0, dtype=np.float64), (n,)).copy()
     z_final = np.zeros(n)
     c_final = np.zeros(n)
     absorbed_at = np.full(n, -1, dtype=np.int64)
@@ -299,10 +298,8 @@ def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream
     The X grid spans `_default_grid_span` (generously past the hitting time)
     with the same step dt as the time-change integration.
     """
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
     n_steps = _grid_steps(dt, t_max)
-    m = int(round(_default_grid_span(x, lam) / dt))
+    m = _grid_steps(dt, _default_grid_span(x, lam))
     xbuf = np.empty((1, m + 1))
     t_cross, _, last = _first_passage(x, lam, dt, m, 1, rng, out=xbuf)
     _, _, absorbed_at, z_path, c_path = _time_change(
@@ -326,12 +323,10 @@ def lamperti_marginals(
     Returns (z, c, t_cross, truncated); paths are processed in chunks of
     ``_CHUNK`` that share one X buffer, which bounds the stored X-grid memory.
     """
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
     n_steps = _grid_steps(dt, t_max)
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
-    m = int(round(grid_t_max / dt))
+    m = _grid_steps(dt, grid_t_max)
     z_out = np.empty(n_paths)
     c_out = np.empty(n_paths)
     t_out = np.empty(n_paths)
@@ -357,8 +352,6 @@ def hitting_ensemble(
 
     See `_first_passage` for the crossing rule.
     """
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
     t_hit, truncated, _ = _first_passage(x, lam, dt, _grid_steps(dt, t_max), n_paths, rng)
     return t_hit, truncated
 

@@ -24,7 +24,6 @@ __all__ = [
     "RunConfig",
     "RngStream",
     "edge_probability",
-    "derive_k",
     "make_stream",
     "parse_config_file",
     "parse_config_text",
@@ -217,31 +216,25 @@ class RunConfig:
 
     @property
     def k(self) -> int:
-        return derive_k(self)
+        """Number of roots / initially infected: floor(n**(1/3) x) or floor(eps**2 n x).
+
+        k = 0 is a configuration error (ask for larger x or n); k > n, or overflow, likewise.
+        """
+        try:
+            k = _floor_guarded(self.window.root_mass(self.n, self.x))
+        except OverflowError:
+            raise ConfigError(f"derived k exceeds n = {self.n}; decrease x or epsilon") from None
+        if k < 1:
+            raise ConfigError(f"derived k = 0 for n={self.n}, x={self.x}; increase x or n")
+        if k > self.n:
+            raise ConfigError(f"derived k = {k} exceeds n = {self.n}; decrease x")
+        return k
 
     def describe(self) -> dict:
         d = {"n": self.n, "x": self.x, "seed": self.seed, "replicates": self.replicates}
         d.update(self.window.describe(self.n))
         d["k"] = self.k
         return d
-
-
-def derive_k(config: RunConfig) -> int:
-    """Number of roots / initially infected: floor(n**(1/3) x) or floor(eps**2 n x).
-
-    k = 0 is a configuration error (ask for larger x or n); k > n, or overflow, likewise.
-    """
-    try:
-        k = _floor_guarded(config.window.root_mass(config.n, config.x))
-    except OverflowError:
-        raise ConfigError(f"derived k exceeds n = {config.n}; decrease x or epsilon") from None
-    if k < 1:
-        raise ConfigError(
-            f"derived k = 0 for n={config.n}, x={config.x}; increase x or n"
-        )
-    if k > config.n:
-        raise ConfigError(f"derived k = {k} exceeds n = {config.n}; decrease x")
-    return k
 
 
 # An RngStream is a numpy Generator over the counter-based Philox engine,

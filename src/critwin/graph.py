@@ -157,8 +157,6 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
         return graph_from_edges(n, [], [])
     if m <= _DENSE_PAIR_LIMIT:
         lin = np.nonzero(rng.random(m) < p)[0]
-    elif p == 1.0:
-        lin = np.arange(m, dtype=np.int64)
     else:
         chunks = []
         pos = -1

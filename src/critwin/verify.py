@@ -39,6 +39,7 @@ from .chain import (
 )
 from .continuum import (
     DeterministicLimit,
+    _grid_steps,
     hitting_ensemble,
     lamperti_marginals,
     sde_ensemble,
@@ -229,7 +230,7 @@ def suite_zlimit(seed: int) -> ComparisonReport:
         chain_z1[r] = tr.Z[h_at_t1] if h_at_t1 < tr.Z.size else 0
         chain_total[r] = tr.C[-1]
     sde_z1, _, _ = sde_ensemble(
-        np.full(N, x), lam, dt, int(round(1.0 / dt)), make_stream(seed, 0, "sde")
+        np.full(N, x), lam, dt, _grid_steps(dt, 1.0), make_stream(seed, 0, "sde")
     )
     ks = ks_statistic(chain_z1 * space_z, sde_z1)
     t_hit, trunc = hitting_ensemble(x, lam, dt, 12.0, N, make_stream(seed, 0, "hitting"))
@@ -262,7 +263,7 @@ def suite_zlimit(seed: int) -> ComparisonReport:
 def suite_lamperti(seed: int) -> ComparisonReport:
     """Marginal at t=1 of the Euler SDE route vs the time-change route (KS)."""
     x, lam, N, dt, t_at = 1.0, 0.0, 5000, 1e-4, 1.0
-    steps = int(round(t_at / dt))
+    steps = _grid_steps(dt, t_at)
     sde_z, _, _ = sde_ensemble(np.full(N, x), lam, dt, steps, make_stream(seed, 0, "sde"))
     tc_z, _, _, trunc = lamperti_marginals(
         x, lam, dt, t_at, N, make_stream(seed, 0, "lamperti")
@@ -396,14 +397,14 @@ def suite_selfsim(seed: int) -> ComparisonReport:
     """
     x, lam, t0, s, N, dt = 1.0, 0.0, 0.25, 0.25, 5000, 1e-4
     rng = make_stream(seed, 0, "selfsim")
-    z1, c1, ab1 = sde_ensemble(np.full(N, x), lam, dt, int(round(t0 / dt)), rng)
+    z1, c1, ab1 = sde_ensemble(np.full(N, x), lam, dt, _grid_steps(dt, t0), rng)
     alive = ab1 < 0
     n_alive = int(alive.sum())
     if n_alive < N / 10:
         raise InsufficientSampleError(
             f"only {n_alive} of {N} paths alive at t0={t0}; need at least N/10"
         )
-    steps = int(round(s / dt))
+    steps = _grid_steps(dt, s)
     continued, _, _ = sde_ensemble(z1[alive], lam, dt, steps, rng, c0=c1[alive])
     restarted, _, _ = sde_ensemble(z1[alive], lam - c1[alive], dt, steps, rng)
     ks = ks_statistic(continued, restarted)

@@ -444,6 +444,14 @@ BAD_INPUT = {
     "deterministic-lambda-nan": (
         ("continuum", "--kind", "deterministic", "--lambda", "nan"), {}
     ),
+    # sqrt(2x + lambda**2) rounds to |lambda|: c(t) would take atanh(-1)
+    "deterministic-x-tiny": (
+        ("continuum", "--kind", "deterministic", "--x", "1e-20", "--lambda", "1",
+         "--dt", "0.5", "--t-max", "1"), {}
+    ),
+    "deterministic-t-max-below-dt": (
+        ("continuum", "--kind", "deterministic", "--dt", "0.5", "--t-max", "0.1"), {}
+    ),
     "verify-seed-env": (("verify", "--suite", "kernel"), {"CW_SEED": "-3"}),
     "verify-seed-flag": (("verify", "--suite", "moments", "--seed", "-5"), {}),
     "verify-unknown-suite": (("verify", "--suite", "bogus"), {}),
@@ -469,6 +477,16 @@ def test_continuum_bad_dt_exits_one(tmp_path, capsys):
         "continuum", "--kind", "sde", "--dt", "0", "--out", str(tmp_path / "o"),
     )
     assert code == 1
+
+
+def test_lamperti_runs_where_the_deterministic_curve_is_undefined(tmp_path, capsys):
+    # the Lamperti route reads only t0 of the deterministic limit
+    code, _, _ = run_cli(
+        capsys,
+        "continuum", "--kind", "lamperti", "--x", "1e-20", "--lambda", "1",
+        "--dt", "0.5", "--t-max", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
 
 
 def test_continuum_unknown_kind_exits_one(tmp_path, capsys):

@@ -119,10 +119,14 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
         x, 0.0, dt, 1200, 16, make_stream(26, 0, "h"), bridge=False, out=grid
     )
     assert not truncated.any()
-    s = x + grid[:, : last + 1]
+    # a row is written up to the end of the block holding its first grid
+    # crossing; scan each row only that far
+    j = np.ones(16, dtype=np.int64)
+    for r in range(16):
+        while x + grid[r, j[r]] > 0.0:
+            j[r] += 1
     rows = np.arange(16)
-    j = np.argmax(s <= 0.0, axis=1)
-    a, b = s[rows, j - 1], s[rows, j]
+    a, b = x + grid[rows, j - 1], x + grid[rows, j]
     assert np.allclose(t, (j - 1 + a / (a - b)) * dt, rtol=0, atol=1e-12)
 
 
@@ -191,10 +195,36 @@ def test_lamperti_marginals_edge_cases(x, lam):
     assert (c <= t_cross + 2 * dt).all()
 
 
+class _NoDraws:
+    """An rng that fails the test if anything is drawn from it."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("drew normals")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew uniforms")
+
+
 @pytest.mark.parametrize("x", [-0.1, 0.0, math.nan])
 def test_lamperti_marginals_rejects_nonpositive_x(x):
     with pytest.raises(ValueError, match="need x > 0"):
-        lamperti_marginals(x, 1.0, 1e-3, 1.0, 5, make_stream(22, 0, "v"))
+        lamperti_marginals(x, 1.0, 1e-3, 1.0, 5, _NoDraws())
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda x, rng: hitting_ensemble(x, 0.0, 1e-3, 1.0, 3, rng),
+    lambda x, rng: lamperti_route(x, 0.0, 1e-3, 1.0, rng),
+], ids=["hitting_ensemble", "lamperti_route"])
+def test_nonpositive_x_is_rejected_before_any_draw(entry, x):
+    with pytest.raises(ValueError, match="need x > 0"):
+        entry(x, _NoDraws())
+
+
+def test_lamperti_marginals_rejects_a_grid_shorter_than_dt():
+    # a grid_t_max below dt once gave an X grid of no steps: z = c = 0 for every path
+    with pytest.raises(ValueError, match="need dt > 0 and t_max >= dt"):
+        lamperti_marginals(1.0, 0.0, 1e-3, 0.5, 10, make_stream(22, 0, "v"), grid_t_max=1e-4)
 
 
 def test_lamperti_route_starts_at_x():
@@ -316,7 +346,7 @@ def test_rk4_agreement_small():
 
 
 def test_self_similarity_insufficient_sample(monkeypatch):
-    def absorb_all(z0, lam, dt, n_steps, rng, c0=None):
+    def absorb_all(z0, lam, dt, n_steps, rng, c0=0.0):
         n = np.size(z0)
         return np.zeros(n), np.zeros(n), np.ones(n, dtype=np.int64)
 

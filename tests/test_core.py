@@ -7,7 +7,6 @@ from critwin import (
     GeneralWindow,
     InvalidWindowError,
     RunConfig,
-    derive_k,
     edge_probability,
     make_stream,
 )
@@ -64,18 +63,18 @@ def test_general_window_regime_flag_recorded_not_enforced():
 
 def test_derive_k_aldous():
     cfg = RunConfig(n=1000, x=1.0, window=AldousWindow(0.0))
-    assert derive_k(cfg) == 10
+    assert cfg.k == 10
 
 
 def test_derive_k_general():
     cfg = RunConfig(n=1000, x=2.0, window=GeneralWindow(lam=0.0, epsilon=0.1))
-    assert derive_k(cfg) == 20
+    assert cfg.k == 20
 
 
 def test_derive_k_zero_is_config_error():
     cfg = RunConfig(n=8, x=0.1, window=AldousWindow(0.0))
     with pytest.raises(ConfigError, match="increase x or n"):
-        derive_k(cfg)
+        cfg.k
 
 
 def test_derive_k_bounded_by_n_on_random_configs():
@@ -85,7 +84,7 @@ def test_derive_k_bounded_by_n_on_random_configs():
         x = float(rng.uniform(0.01, 1.0)) * n ** (2.0 / 3.0)
         cfg = RunConfig(n=n, x=x, window=AldousWindow(0.0))
         try:
-            k = derive_k(cfg)
+            k = cfg.k
         except ConfigError:
             continue
         assert 1 <= k <= n

@@ -27,6 +27,10 @@ def test_sample_graph_p_zero_and_one():
     assert g0.edge_count == 0
     g1 = sample_graph(5, 1.0, make_stream(1, 0, "g"))
     assert g1.edge_count == 10
+    # m = 4950 pairs takes the geometric-skip path, whose gaps are all 1 at p = 1
+    g2 = sample_graph(100, 1.0, make_stream(1, 0, "g"))
+    assert g2.edge_count == 4950
+    assert all(g2.neighbors(v).tolist() == [w for w in range(100) if w != v] for v in range(100))
 
 
 def _assert_valid_adjacency(g):
