@@ -10,16 +10,18 @@ statistically by the verification suites:
       dZ = sqrt(Z) dW + (lam - C) Z dt,  dC = Z dt,  Z(0) = x,
   absorbed at zero;
 * `lamperti_marginals` (one recorded path: `lamperti_route`) -- simulate
-  X(t) = B(t) + lam*t - t**2/2 on its own grid, then integrate the time
-  change dC/dt = x + X(C) and read Z = x + X(C), stopping when C reaches the
-  first time x + X hits zero.
+  X(t) = B(t) + lam*t - t**2/2 on its own grid and solve the time change
+  dC/dt = x + X(C), Z = x + X(C), in closed form on the piecewise-linear
+  interpolant of the grid, cell by cell as the grid is drawn; a path is
+  absorbed where the interpolant falls to dt or at a bridge crossing.
 
 X is generated in one place, `_first_passage`, which also finds the first
-passage of x + X to zero for the Lamperti route and the hitting times.  One
-crossing convention holds throughout: a crossing seen on the grid is placed
-by linear interpolation inside its cell, and a crossing between grid points
-detected by the Brownian-bridge test (probability exp(-2ab/dt) for a cell
-with positive endpoints a, b) is placed at the cell midpoint.
+passage of x + X to zero for the hitting times and runs the Lamperti clock,
+so no X grid is stored.  One crossing convention holds throughout: a
+crossing seen on the grid is placed by linear interpolation inside its
+cell, and a crossing between grid points detected by the Brownian-bridge
+test (probability exp(-2ab/dt) for a cell with positive endpoints a, b) is
+placed at the cell midpoint.
 
 Drift is always applied analytically on the grid; only the Brownian part is
 sampled.  Ensemble variants are vectorized across paths and draw from a
@@ -67,13 +69,31 @@ def _grid_steps(dt: float, t_max: float) -> int:
 
 
 _BLOCK = 2_000_000  # standard normals drawn per block, across live paths
-_CHUNK = 256  # paths per X buffer fill in `lamperti_marginals`
+
+
+def _ratio(num, y):
+    """num / y in place, and 1 where y == 0: the limit of each ratio used here."""
+    np.divide(num, y, out=num, where=y != 0)
+    num[y == 0] = 1.0
+    return num
+
+
+def _cell_time(a, b, w):
+    """Time the time change takes to cross a cell of width w on which x + X
+    runs linearly from a to b (both > 0): w (ln b - ln a) / (b - a)."""
+    r = b / a  # ln(r) / (r - 1) stays accurate for b near a and for b << a
+    t = _ratio(np.log(r), np.subtract(r, 1.0, out=r))
+    t *= w
+    t /= a
+    return t
 
 
 def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
-                   bridge: bool = True, out: np.ndarray | None = None):
+                   bridge: bool = True, out: np.ndarray | None = None,
+                   t_at: np.ndarray | None = None):
     """X on the grid 0, dt, ..., m*dt, one block of columns at a time, and the
-    first passage of x + X to zero; (t_cross, truncated, last).
+    first passage of x + X to zero; (t_cross, truncated), and with ``t_at``
+    also the time-changed (Z, C) at those times.
 
     Each block draws a (live paths, columns) array of standard normals and,
     when ``x`` is given, a same-shaped array of bridge uniforms; the running
@@ -86,12 +106,19 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
     test removes the O(sqrt(dt)) late bias of grid-only detection.  Paths
     with no event are truncated at m*dt.
 
+    With ``t_at`` (sorted times >= 0), C solves dC/dt = x + X(C) exactly on
+    the piecewise-linear interpolant: a cell from a to b takes `_cell_time`,
+    and s into it Z = a exp((b - a) s / dt), with C the integral of Z.  A
+    path is absorbed (Z = 0, C frozen) where the interpolant first falls to
+    dt, below which it only crawls towards a crossing it cannot resolve, or
+    at a bridge midpoint, whichever comes first.  Returns (t_cross,
+    truncated, z, c), z and c of shape (n_paths, t_at.size); a path whose
+    grid ends before a time reads the grid's end there.
+
     A given ``x`` must be > 0 (ValueError before any draw).  With
     ``x=None`` there is no crossing test: no uniforms are drawn and every
-    path runs to m.  ``last`` is the last generated column.  With
-    ``out``, an array of at least (n_paths, m + 1), X is written into
-    ``out[:n_paths, :last + 1]``; cells of a retired path after its last
-    block keep whatever they held, so one buffer serves many calls.
+    path runs to m.  With ``out`` (n_paths, m + 1), X is written into it,
+    each row up to the end of the block in which its path retires.
     """
     if x is not None and not x > 0:
         raise ValueError(f"need x > 0, got {x}")
@@ -99,6 +126,11 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
     t_cross = np.full(n_paths, np.inf)
     walk_end = np.zeros(n_paths)  # sum of the normals at the block's left edge
     s_end = np.full(n_paths, np.nan if x is None else float(x))  # x + X there
+    if t_at is not None:
+        z_at = np.zeros((n_paths, t_at.size))
+        c_at = np.zeros((n_paths, t_at.size))
+        clock = np.zeros(n_paths)  # time-change clock at the block's left edge
+        done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
     if out is not None:
         out[:n_paths, 0] = 0.0
     live = np.arange(n_paths)
@@ -137,16 +169,58 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
             prob /= dt
             np.exp(prob, out=prob)
             fired = np.less(u, prob, out=neg)
+            del prob
             fired &= left > 0.0
             fired &= right > 0.0
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_new[r] = np.minimum(t_new[r], t_fire)
         t_cross[live] = np.minimum(t_cross[live], t_new)
+        del u  # spent, as is prob: their blocks go before the clock's temporaries
+        if t_at is not None:
+            own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
+            p, sv = live[own], s[own]
+            np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
+            stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
+            stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
+            if bridge:
+                stop |= fired[own]
+            hit = np.flatnonzero(stop.any(axis=1))
+            k = np.argmax(stop[hit], axis=1)  # the absorbing cell
+            a, b = s[own[hit], k], s[own[hit], k + 1]
+            f = (a > dt).astype(np.float64)  # share of it run before absorption
+            np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
+            if bridge:
+                np.minimum(f, 0.5, out=f, where=fired[own[hit], k])
+            tick = _cell_time(sv[:, :-1], sv[:, 1:], dt)
+            tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
+            tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
+            sv[hit, k], sv[hit, k + 1] = a, b  # its slope, for the closed form
+            start = clock[p]
+            np.cumsum(tick, axis=1, out=tick)
+            tick += start[:, None]  # the clock at each cell's right end
+            clock[p] = tick[:, -1]
+            due = np.searchsorted(t_at, clock[p], side="right")
+            for i in np.flatnonzero(due > done[p]):
+                n = np.arange(done[p[i]], due[i])
+                j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
+                spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
+                a0 = sv[i, j]
+                y = (sv[i, j + 1] - a0) / dt * spent
+                z_at[p[i], n] = a0 * np.exp(y)
+                c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
+            done[p] = due
+            after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
+            c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
+            done[p[hit]] = t_at.size
         live = live[~crossed]
     truncated = np.isinf(t_cross)
     t_cross[truncated] = m * dt
-    return t_cross, truncated, hi
+    if t_at is None:
+        return t_cross, truncated
+    short = np.arange(t_at.size) >= done[:, None]  # past the end of the grid
+    return (t_cross, truncated,
+            np.where(short, s_end[:, None], z_at), np.where(short, m * dt, c_at))
 
 
 def sample_parabolic_bm(
@@ -228,85 +302,19 @@ def sde_ensemble(
     return z_final, c_final, absorbed_at
 
 
-def _time_change(x, dt, n_steps, xbuf, last, t_cross, record=False):
-    """Euler integration of dC/dt = x + X(C) with linear interpolation, for
-    the paths whose X `_first_passage` wrote into the rows of ``xbuf`` up to
-    column ``last``.
-
-    A path is stopped (Z = 0, C frozen) once C comes within one grid cell of
-    its crossing time, or once Z falls to one step's worth of mass (<= dt).
-    Past that resolution the piecewise-linear interpolant only crawls toward
-    a crossing it cannot resolve, while the rough continuum path would absorb
-    within O(sqrt(dt)) extra time.  Since t_cross is at or before a path's
-    first grid crossing, C stays clear of the cells `_first_passage` leaves
-    stale, which all lie past that crossing.
-    """
-    cn = t_cross.size
-    width = xbuf.shape[1]
-    flat = xbuf.reshape(-1)
-    z_final = np.zeros(cn)
-    c_final = np.zeros(cn)
-    absorbed_at = np.full(cn, -1, dtype=np.int64)
-    z_path = c_path = None
-    if record:
-        z_path = np.zeros((cn, n_steps + 1))
-        c_path = np.zeros((cn, n_steps + 1))
-        z_path[:, 0] = x
-    za = np.full(cn, float(x))
-    ca = np.zeros(cn)
-    ra, ta = np.arange(cn), t_cross  # live rows and their crossing times
-    inv_dt = 1.0 / dt
-    for i in range(1, n_steps + 1):
-        stopping = (ta - ca <= dt) | (za <= dt)
-        if stopping.any():
-            idx = ra[stopping]
-            # final-approach stops sit within a couple of cells of the
-            # crossing; report that crossing time as the frozen C
-            near = ta[stopping] - ca[stopping] <= 2.0 * dt
-            c_final[idx] = np.where(near, ta[stopping], ca[stopping])
-            absorbed_at[idx] = i
-            if record:
-                c_path[idx, i:] = c_final[idx, None]
-            keep = ~stopping
-            za, ca, ra, ta = za[keep], ca[keep], ra[keep], ta[keep]
-            if ra.size == 0:
-                break
-        ca = ca + za * dt
-        pos = ca * inv_dt
-        i0 = np.minimum(pos.astype(np.int64), last - 1)
-        frac = pos - i0
-        at = ra * width + i0
-        xc = flat.take(at) * (1.0 - frac) + flat.take(at + 1) * frac
-        za = np.maximum(x + xc, 0.0)
-        if record:
-            z_path[ra, i] = za
-            c_path[ra, i] = ca
-    z_final[ra] = za
-    c_final[ra] = ca
-    if record:
-        return z_final, c_final, absorbed_at, z_path, c_path
-    return z_final, c_final, absorbed_at
-
-
 def _default_grid_span(x: float, lam: float) -> float:
     return 3.0 * DeterministicLimit(x, lam).t0 + 8.0
 
 
 def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
-    """Single (Z, C) path built by time-changing a parabolic-drift path.
-
-    The X grid spans `_default_grid_span` (generously past the hitting time)
-    with the same step dt as the time-change integration.
+    """Single (Z, C) path on the grid 0, dt, ..., ~t_max, built by time-changing
+    a parabolic-drift path whose grid spans `_default_grid_span` with step dt.
     """
-    n_steps = _grid_steps(dt, t_max)
+    t_at = np.arange(_grid_steps(dt, t_max) + 1) * dt
     m = _grid_steps(dt, _default_grid_span(x, lam))
-    xbuf = np.empty((1, m + 1))
-    t_cross, _, last = _first_passage(x, lam, dt, m, 1, rng, out=xbuf)
-    _, _, absorbed_at, z_path, c_path = _time_change(
-        x, dt, n_steps, xbuf, last, t_cross, record=True
-    )
-    ab = int(absorbed_at[0])
-    return SdePath(z=z_path[0], c=c_path[0], absorbed_at=None if ab < 0 else ab)
+    _, _, z, c = _first_passage(x, lam, dt, m, 1, rng, t_at=t_at)
+    zero = np.flatnonzero(z[0] == 0.0)
+    return SdePath(z=z[0], c=c[0], absorbed_at=int(zero[0]) if zero.size else None)
 
 
 def lamperti_marginals(
@@ -318,26 +326,16 @@ def lamperti_marginals(
     rng: RngStream,
     grid_t_max: float | None = None,
 ):
-    """Time-change route marginals at t_max for an ensemble of paths.
-
-    Returns (z, c, t_cross, truncated); paths are processed in chunks of
-    ``_CHUNK`` that share one X buffer, which bounds the stored X-grid memory.
+    """Time-change route marginals at t_max for an ensemble of paths;
+    (z, c, t_cross, truncated), from one `_first_passage` call over all paths.
     """
-    n_steps = _grid_steps(dt, t_max)
+    t_at = np.array([_grid_steps(dt, t_max) * dt])
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
-    m = _grid_steps(dt, grid_t_max)
-    z_out = np.empty(n_paths)
-    c_out = np.empty(n_paths)
-    t_out = np.empty(n_paths)
-    trunc_out = np.zeros(n_paths, dtype=bool)
-    xbuf = np.empty((min(_CHUNK, n_paths), m + 1))
-    for lo in range(0, n_paths, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n_paths))
-        t_cross, truncated, last = _first_passage(x, lam, dt, m, sl.stop - lo, rng, out=xbuf)
-        z_out[sl], c_out[sl], _ = _time_change(x, dt, n_steps, xbuf, last, t_cross)
-        t_out[sl], trunc_out[sl] = t_cross, truncated
-    return z_out, c_out, t_out, trunc_out
+    t_cross, truncated, z, c = _first_passage(
+        x, lam, dt, _grid_steps(dt, grid_t_max), n_paths, rng, t_at=t_at
+    )
+    return z[:, 0], c[:, 0], t_cross, truncated
 
 
 def hitting_ensemble(
@@ -352,8 +350,7 @@ def hitting_ensemble(
 
     See `_first_passage` for the crossing rule.
     """
-    t_hit, truncated, _ = _first_passage(x, lam, dt, _grid_steps(dt, t_max), n_paths, rng)
-    return t_hit, truncated
+    return _first_passage(x, lam, dt, _grid_steps(dt, t_max), n_paths, rng)
 
 
 @dataclass(frozen=True)

@@ -337,10 +337,10 @@ GOLDEN = {
         "parabolic_0000.csv": "6b301e2e2c323f2bd14e8fe06532cc06ac7f6e7a0a370f27a87f7b6d7e819acc",
         "parabolic_0001.csv": "f7956afedc2e4ec6f213aa0c93b66987cc4a421e84ace6071c885b27bda968d9",
     },
-    # recorded later, before `SdePath` dropped its `dt` field
+    # recorded when the route's clock became the exact time change
     ("lamperti", "1", "1"): {
-        "lamperti_0000.csv": "947b37316b5e4b7dc4ebd4d6b862dc92d242f82118c3dde6d09bff49670281ef",
-        "lamperti_0001.csv": "8cc32f099e89d9606d33bafc1e9e4ef17cee28f5c506026532d35d1ac41bdf4f",
+        "lamperti_0000.csv": "306501cd09bcee05a57bbd4283af8f9e27d75d074874485aa5902c4580e41d7e",
+        "lamperti_0001.csv": "34ec0fb209646a956325b907ba166cb57934fe667cd277179d2b4c7bbef606d5",
     },
 }
 

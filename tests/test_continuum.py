@@ -17,7 +17,7 @@ from critwin import (
     simulate_sde,
 )
 from critwin import continuum, verify
-from critwin.continuum import _first_passage, _time_change
+from critwin.continuum import _cell_time, _first_passage
 from critwin.verify import InsufficientSampleError, rk4_curve_max_error, run_suite
 
 
@@ -115,7 +115,7 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
     monkeypatch.setattr(continuum, "_BLOCK", 64)
     x, dt = 1.0, 1e-2
     grid = np.empty((16, 1201))
-    t, truncated, last = _first_passage(
+    t, truncated = _first_passage(
         x, 0.0, dt, 1200, 16, make_stream(26, 0, "h"), bridge=False, out=grid
     )
     assert not truncated.any()
@@ -130,23 +130,105 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
     assert np.allclose(t, (j - 1 + a / (a - b)) * dt, rtol=0, atol=1e-12)
 
 
-def test_time_change_reads_only_generated_segment():
-    # two chunks share one buffer that starts NaN-filled, as in
-    # `lamperti_marginals`; poison every cell after each path's first grid
-    # crossing, which covers the cells left unset or stale after the path
-    # retired; run far past absorption
-    x, dt, m = 1.0, 1e-3, 12_000
-    buf = np.full((200, m + 1), np.nan)
-    rng = make_stream(23, 0, "tc")
-    for n_paths in (200, 150):
-        t_cross, truncated, last = _first_passage(x, 0.0, dt, m, n_paths, rng, out=buf)
-        assert not truncated.any()
-        grid = buf[:n_paths, : last + 1]
-        first = np.argmax(x + grid <= 0.0, axis=1)
-        buf[:n_paths][np.arange(m + 1) > first[:, None]] = np.nan
-        z, c, _ = _time_change(x, dt, int(round(20.0 / dt)), buf, last, t_cross)
-        assert not np.isnan(z).any()
-        assert not np.isnan(c).any()
+@pytest.mark.parametrize("a,b", [
+    (0.3, 0.7), (1.0, 1.0), (1.0, 1.0 + 1e-12), (0.5, 0.5 * (1 - 1e-9)),
+    (1e-3, 2.0), (2.0, 1e-3), (1.0, 1e-6),
+], ids=["rising", "flat", "b-near-a-above", "b-near-a-below", "b-far-above",
+        "b-far-below", "b-much-below"])
+def test_cell_time_matches_quadrature(a, b):
+    from scipy.integrate import quad
+
+    # the clock's time across one cell of the interpolant: the integral of
+    # 1 / (x + X) over it, written from the cell's right end so that the
+    # integrand keeps its precision where it is largest
+    w = 1e-3
+    exact, _ = quad(lambda u: 1.0 / (b + (a - b) * (w - u) / w), 0.0, w, epsabs=0,
+                    epsrel=1e-12, limit=200, points=[w - w * 10.0**-k for k in range(1, 7)])
+    assert _cell_time(np.array([a]), np.array([b]), w)[0] == pytest.approx(exact, rel=1e-10)
+
+
+def test_lamperti_route_ends_where_the_marginals_do():
+    # one path on the same stream: the route's last grid point is the
+    # marginal at t_max, bit for bit, absorbed or not
+    for seed in range(6):
+        for t_max in (0.5, 3.0):
+            path = lamperti_route(1.0, 0.5, 1e-3, t_max, make_stream(seed, 0, "one"))
+            z, c, _, _ = lamperti_marginals(1.0, 0.5, 1e-3, t_max, 1, make_stream(seed, 0, "one"))
+            assert path.z[-1] == z[0] and path.c[-1] == c[0]
+
+
+def test_lamperti_marginals_cross_where_hitting_ensemble_does():
+    # the clock reads the draws without changing them or the crossing rule
+    span = continuum._default_grid_span(1.0, 0.5)
+    _, _, t_cross, truncated = lamperti_marginals(1.0, 0.5, 1e-3, 1.0, 300, make_stream(4, 0, "q"))
+    t_hit, hit_truncated = hitting_ensemble(1.0, 0.5, 1e-3, span, 300, make_stream(4, 0, "q"))
+    assert np.array_equal(t_cross, t_hit) and np.array_equal(truncated, hit_truncated)
+
+
+class _SplitRng:
+    """Normals and uniforms from two generators, so that how the draws are cut
+    into blocks does not change their values."""
+
+    def __init__(self, seed):
+        self._normal, self._uniform = (make_stream(seed, 0, label) for label in ("n", "u"))
+
+    def standard_normal(self, size):
+        return self._normal.standard_normal(size)
+
+    def random(self, size):
+        return self._uniform.random(size)
+
+
+def test_lamperti_route_is_block_invariant(monkeypatch):
+    # the clock and the times still owed carry across block edges
+    for seed in range(4):
+        whole = lamperti_route(1.0, 0.0, 1e-3, 3.0, _SplitRng(seed))
+        monkeypatch.setattr(continuum, "_BLOCK", 97)
+        blocks = lamperti_route(1.0, 0.0, 1e-3, 3.0, _SplitRng(seed))
+        monkeypatch.undo()
+        assert whole.absorbed_at == blocks.absorbed_at
+        assert np.allclose(whole.z, blocks.z, rtol=1e-12, atol=0)
+        assert np.allclose(whole.c, blocks.c, rtol=1e-12, atol=0)
+
+
+def test_lamperti_route_c_is_the_integral_of_z():
+    # dC/dt = Z: each grid step of C matches the trapezoid rule on Z up to
+    # the rule's error, which is O(dt**1.5) per step rather than O(dt**3)
+    # because Z's slope jumps, by O(1/sqrt(dt)), at every cell of X
+    for dt in (1e-3, 2.5e-4):
+        for seed in range(3):
+            path = lamperti_route(1.0, 0.0, dt, 2.0, make_stream(seed, 0, "int"))
+            end = path.absorbed_at or path.z.size
+            z, c = path.z[:end], path.c[:end]
+            assert np.max(np.abs(np.diff(c) - 0.5 * dt * (z[1:] + z[:-1]))) <= 2.0 * dt**1.5
+
+
+@pytest.mark.parametrize("x,lam", [(1e-4, 0.0), (1e-3, 0.0), (1.0, -3.0), (0.05, -5.0)])
+def test_lamperti_route_edge_cases(x, lam):
+    # a start at or below dt, and a steep fall: absorbed after the first point
+    path = lamperti_route(x, lam, 1e-3, 3.0, make_stream(30, 0, "edge"))
+    assert path.z[0] == x and path.c[0] == 0.0
+    assert np.all(np.diff(path.c) >= 0)
+    assert path.absorbed_at is not None and path.absorbed_at >= 1
+    assert np.all(path.z[path.absorbed_at :] == 0.0)
+    assert np.all(path.c[path.absorbed_at :] == path.c[path.absorbed_at])
+
+
+def test_lamperti_start_at_or_below_dt_is_absorbed_at_once():
+    for x in (1e-4, 1e-3):
+        z, c, _, _ = lamperti_marginals(x, 0.0, 1e-3, 0.5, 300, make_stream(33, 0, "edge"))
+        assert not z.any() and not c.any()
+
+
+def test_lamperti_atom_at_zero_matches_sde():
+    # the share of paths absorbed by t = 1 agrees with the SDE's even at a
+    # coarse step, where a clock that lags the interpolant shows as an excess
+    N, dt = 4000, 1e-3
+    tc_z, _, _, _ = lamperti_marginals(1.0, 0.0, dt, 1.0, N, make_stream(3, 0, "lamperti"))
+    sde_z, _, _ = sde_ensemble(np.full(N, 1.0), 0.0, dt, 1000, make_stream(3, 0, "sde"))
+    p_tc, p_sde = (tc_z == 0).mean(), (sde_z == 0).mean()
+    se = math.sqrt(p_tc * (1 - p_tc) / N + p_sde * (1 - p_sde) / N)
+    assert abs(p_tc - p_sde) <= 3 * se
 
 
 def _digest(*arrays):
@@ -157,9 +239,9 @@ def _digest(*arrays):
 
 
 def test_lamperti_marginals_bytes_pinned():
-    # 700 paths fill two whole chunks and one partial one
+    # one `_first_passage` call over all 700 paths
     out = lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 700, make_stream(31, 0, "pin"))
-    assert _digest(*out) == "7a08a5e4fcf731f18490ff997465c75a825c157564ee9f6575a4c644a424496b"
+    assert _digest(*out) == "e78285b70f1e2ab509377fc45e8ddda4e10c58eb3c6ba983259b49fc04e14868"
 
 
 def test_hitting_ensemble_bytes_pinned():
@@ -167,19 +249,19 @@ def test_hitting_ensemble_bytes_pinned():
     assert _digest(*out) == "17e84691d6a387c9476f1022d60c3e467553c912a5962f60bfeb05c10b824ac5"
 
 
-def test_lamperti_marginals_holds_one_x_buffer():
-    # three chunks at the suite's dt: the chunks take turns in one buffer,
-    # and the block temporaries stay well under a second one
+def test_lamperti_marginals_stores_no_x_grid():
+    # at the suite's dt, the block temporaries of the clock stay far below
+    # one 256-path X grid, the buffer the ensemble once filled chunk by chunk
     x, lam, dt = 1.0, 0.0, 1e-4
     m = int(round(continuum._default_grid_span(x, lam) / dt))
-    one_buffer = continuum._CHUNK * (m + 1) * 8
+    x_chunk = 256 * (m + 1) * 8
     tracemalloc.start()
     try:
-        lamperti_marginals(x, lam, dt, 0.01, 3 * continuum._CHUNK, make_stream(27, 0, "mem"))
+        lamperti_marginals(x, lam, dt, 1.0, 768, make_stream(27, 0, "mem"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * one_buffer
+    assert peak <= 0.4 * x_chunk
 
 
 @pytest.mark.parametrize("x,lam", [(1e-6, 0.0), (1.0, -3.0), (0.05, -5.0)])
@@ -270,7 +352,7 @@ def test_hitting_time_positive_and_bridge_orders_pathwise():
     # the same draws are consumed with the bridge test on or off, so the two
     # runs couple pathwise under a common stream
     T_bridge, _ = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 500, make_stream(13, 0, "h"))
-    T_grid, _, _ = _first_passage(
+    T_grid, _ = _first_passage(
         1.0, 0.0, 1e-3, 8000, 500, make_stream(13, 0, "h"), bridge=False
     )
     assert np.all(T_bridge > 0)
