@@ -38,7 +38,6 @@ from .core import (
     RunConfig,
     edge_probability,
     make_stream,
-    parse_config_file,
 )
 from .graph import (
     CousinSeries,

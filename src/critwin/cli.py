@@ -28,13 +28,13 @@ from .continuum import (
     simulate_sde,
 )
 from .core import (
+    AldousWindow,
     ConfigError,
     CritwinError,
+    GeneralWindow,
     RunConfig,
-    config_from_mapping,
     edge_probability,
     make_stream,
-    parse_config_file,
 )
 from .graph import breadth_first_walk, cousin_series, explore, sample_graph
 from .moments import bound_sweep
@@ -54,14 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--config", type=Path, help="key = value config file")
         p.add_argument("--n", type=int)
         p.add_argument("--x", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--window", choices=("aldous", "general"))
+        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+        p.add_argument("--epsilon", type=float, help="drifting window p = (1 + lambda eps)/n")
         p.add_argument("--seed", type=int)
-        p.add_argument("--replicates", type=int)
+        p.add_argument("--replicates", type=int, default=1)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -100,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed(given: int | None, default: int | None = 0) -> int | None:
-    """The seed from the flag or config file, else CW_SEED, else ``default``.
+    """The seed from the --seed flag, else CW_SEED, else ``default``.
 
-    A negative seed, from any of the three, is a ConfigError.
+    A negative seed, from either source, is a ConfigError.
     """
     if given is None:
         raw = os.environ.get("CW_SEED")
@@ -116,22 +114,18 @@ def _seed(given: int | None, default: int | None = 0) -> int | None:
 
 
 def _resolve_config(args) -> tuple[RunConfig, float, dict]:
-    """The run config, its edge probability and its manifest block, all checked."""
-    values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "n": args.n,
-        "x": args.x,
-        "lambda": args.lam,
-        "epsilon": args.epsilon,
-        "window": args.window,
-        "seed": args.seed,
-        "replicates": args.replicates,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    values["seed"] = _seed(values.get("seed"))
-    config = config_from_mapping(values)
+    """The run config, its edge probability and its manifest block, all checked.
+
+    --epsilon selects the drifting window; without it the run is in Aldous's.
+    """
+    missing = [flag for flag, val in (("--n", args.n), ("--x", args.x)) if val is None]
+    if missing:  # not argparse-required, which would print a usage block
+        raise ConfigError(f"missing required flags: {', '.join(missing)}")
+    if args.epsilon is None:
+        window = AldousWindow(args.lam)
+    else:
+        window = GeneralWindow(args.lam, args.epsilon)
+    config = RunConfig(args.n, args.x, window, _seed(args.seed), args.replicates)
     # describe() derives k, so a window giving k = 0 fails here too
     return config, edge_probability(config.window, config.n), config.describe()
 
@@ -236,10 +230,10 @@ def cmd_continuum(args) -> int:
                 "--replicates or --threads other than 1"
             )
         limit = DeterministicLimit(x=x, lam=lam)
-        if not abs(lam) < limit.s:  # c(t) takes atanh(-lam / s)
+        if not abs(lam) < limit.s < math.inf:  # c(t) takes atanh(-lam / s)
             raise ConfigError(
-                f"--x {x} is too small beside --lambda {lam}: sqrt(2x + lambda**2) "
-                "rounds to |lambda|, so the curve c(t) is undefined"
+                f"sqrt(2x + lambda**2) must be finite and above |lambda|, got x = {x}, "
+                f"lambda = {lam}: the curve c(t) is undefined"
             )
 
         def curve(r: int):

@@ -25,9 +25,6 @@ __all__ = [
     "RngStream",
     "edge_probability",
     "make_stream",
-    "parse_config_file",
-    "parse_config_text",
-    "config_from_mapping",
 ]
 
 
@@ -40,7 +37,7 @@ class InvalidWindowError(CritwinError):
 
 
 class ConfigError(CritwinError):
-    """A run configuration is unusable (bad key, k = 0, ...)."""
+    """A run configuration is unusable (missing n, k = 0, ...)."""
 
 
 def _scale_row(kind: str, table: dict) -> tuple:
@@ -255,66 +252,3 @@ def make_stream(seed: int, replicate: int, label: str) -> RngStream:
     ss = np.random.SeedSequence([int(seed), int(replicate), label_key])
     return np.random.Generator(np.random.Philox(ss))
 
-
-_CONFIG_KEYS = {
-    "n": int,
-    "x": float,
-    "lambda": float,
-    "window": str,
-    "epsilon": float,
-    "seed": int,
-    "replicates": int,
-}
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines; unknown keys are an error.
-
-    Blank lines and `#` comments are allowed.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    return values
-
-
-def parse_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-def config_from_mapping(values: dict) -> RunConfig:
-    """Build a RunConfig from parsed file values (already CLI-merged)."""
-    missing = [key for key in ("n", "x") if values.get(key) is None]
-    if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    lam = values.get("lambda", 0.0)
-    kind = values.get("window", "aldous")
-    if kind == "aldous":
-        window: CriticalWindow = AldousWindow(lam=lam)
-    elif kind == "general":
-        if values.get("epsilon") is None:
-            raise ConfigError("window=general requires epsilon")
-        window = GeneralWindow(lam=lam, epsilon=values["epsilon"])
-    else:
-        raise ConfigError(f"window must be aldous|general, got {kind!r}")
-    return RunConfig(
-        n=values["n"],
-        x=values["x"],
-        window=window,
-        seed=values.get("seed", 0),
-        replicates=values.get("replicates", 1),
-    )

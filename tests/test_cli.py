@@ -11,7 +11,7 @@ import pytest
 import critwin
 from critwin import cli
 from critwin.cli import main
-from critwin import AldousWindow, RunConfig, make_stream, simulate_trace
+from critwin import AldousWindow, GeneralWindow, RunConfig, make_stream, simulate_trace
 
 
 def run_cli(capsys, *argv):
@@ -117,20 +117,6 @@ def test_verify_out_writes_report_and_sweep(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"report.json", "sweep.csv"}
     assert manifest["config"]["seed"] == report["seed"] == 20260810
-
-
-def test_config_file_with_cli_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 200\nx = 1.0\nseed = 9\nreplicates = 1\n")
-    out = tmp_path / "o"
-    code, stdout, _ = run_cli(
-        capsys, "simulate-chain", "--config", str(cfg),
-        "--replicates", "2", "--out", str(out),
-    )
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["replicates"] == 2
-    assert manifest["config"]["seed"] == 9
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
@@ -295,12 +281,25 @@ def test_simulate_chain_records_regime_ok_when_epsilon_cubed_overflows(tmp_path,
     code, _, err = run_cli(
         capsys,
         "simulate-chain", "--n", "100", "--x", "1e-220",
-        "--window", "general", "--epsilon", "1e110", "--out", str(out),
+        "--epsilon", "1e110", "--out", str(out),
     )
     assert code == 0, err
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert config["regime_ok"] is True
     assert config["k"] == 100
+
+
+def test_epsilon_alone_selects_the_drifting_window(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        capsys,
+        "simulate-chain", "--n", "1000", "--x", "1", "--epsilon", "0.3", "--out", str(out),
+    )
+    assert code == 0, err
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    expected = GeneralWindow(0.0, 0.3).describe(1000)
+    assert set(expected) == {"window", "lambda", "epsilon", "theta", "regime_ok"}
+    assert {key: config[key] for key in expected} == expected
 
 
 def test_continuum_sde_and_hitting(tmp_path, capsys):
@@ -358,8 +357,10 @@ def test_continuum_single_path_digests_are_golden(tmp_path, capsys, key):
     assert json.loads(stdout)["outputs"] == GOLDEN[key]
 
 
-# SHA-256 of every CSV of a graph run with the walk and of a chain run,
-# recorded before `GraphSample` and `EpidemicTrace` dropped their unread fields.
+# SHA-256 of every CSV of a graph run with the walk and of a chain run, in each
+# window: the Aldous runs recorded before `GraphSample` and `EpidemicTrace`
+# dropped their unread fields, the drifting-window runs when `--window general`
+# still had to go beside `--epsilon`.
 SIMULATE_GOLDEN = {
     ("simulate-graph", "--n", "20000", "--x", "1", "--walk"): {
         "cousin_0000.csv": "a2a09cddec5eef3f3f5292f47170b97c30d217c5f1055ea94cc2ccd585cc4ea5",
@@ -370,6 +371,17 @@ SIMULATE_GOLDEN = {
         "trace_0000.csv": "86734e0a76516756665def7d103c2e6ca2a6fc38660137768939bfe15ed822b3",
         "trace_0001.csv": "2652884ab67a36f2cc83d812c238894c3f83838335a91ae26d1a755b995d59d3",
         "trace_0002.csv": "c9f3a1c14575b74173c2a18d0f61d8804a68ef2d50b7f5fac5c8b97f16cfdc1f",
+    },
+    ("simulate-graph", "--n", "20000", "--x", "1", "--epsilon", "0.1", "--walk"): {
+        "cousin_0000.csv": "1516dbc21b350e9378163d9c63dfec036e351b5960bf89390c07ba0b81317f9f",
+        "trace_0000.csv": "ceb8e4dfc692b7eaa03e0fc0699f00f18f83ba39f59f88552fd01b512dc8fbe4",
+        "walk_0000.csv": "bd2f2f5d0e0aeb281114bc661b6468170d2b2c21f44df15346a598b01581efa6",
+    },
+    ("simulate-chain", "--n", "100000", "--x", "1", "--lambda", "0.5", "--epsilon", "0.05",
+     "--replicates", "3"): {
+        "trace_0000.csv": "485c377a1ef4b3b8606f216bc4163d03b98ad3d5df697861bc99374c80f85a93",
+        "trace_0001.csv": "59c37b43d1a2b7236fb17290482b6d76aebd0a9cef8e208dc73d9149abe735f5",
+        "trace_0002.csv": "9e1114b3517aba67f947403c5c70379588196c4d8ea261ae80ef4f5f6bf010c3",
     },
 }
 
@@ -425,10 +437,12 @@ def test_thread_pool_capped_by_replicates_and_cpus(tmp_path, capsys, monkeypatch
 
 _SDE = ("continuum", "--kind", "sde")
 BAD_INPUT = {
-    # p or k out of range: n < 2, k = 0, p >= 1, p = nan
+    # p or k out of range: n < 2, k = 0, p >= 1, p = nan; epsilon not > 0
     **{f"{cmd}{flags[0]}-{flags[1]}": ((cmd, "--n", "100", "--x", "1", *flags), {})
        for cmd in ("simulate-graph", "simulate-chain")
-       for flags in (("--n", "1"), ("--x", "0.01"), ("--lambda", "1000"), ("--lambda", "nan"))},
+       for flags in (("--n", "1"), ("--x", "0.01"), ("--lambda", "1000"), ("--lambda", "nan"),
+                     ("--epsilon", "0"), ("--epsilon", "nan"))},
+    "chain-missing-n": (("simulate-chain", "--x", "1"), {}),
     "continuum-seed-flag": ((*_SDE, "--seed", "-1"), {}),
     "continuum-seed-env": (_SDE, {"CW_SEED": "-3"}),
     "continuum-dt-nan": ((*_SDE, "--dt", "nan"), {}),
@@ -438,8 +452,7 @@ BAD_INPUT = {
     "continuum-lambda-nan": ((*_SDE, "--lambda", "nan"), {}),
     "hitting-t-max-inf": (("continuum", "--kind", "hitting", "--t-max", "inf"), {}),
     "chain-epsilon-overflow": (
-        ("simulate-chain", "--n", "100", "--x", "1", "--window", "general",
-         "--epsilon", "1e200"), {}
+        ("simulate-chain", "--n", "100", "--x", "1", "--epsilon", "1e200"), {}
     ),
     "deterministic-lambda-nan": (
         ("continuum", "--kind", "deterministic", "--lambda", "nan"), {}
@@ -448,6 +461,14 @@ BAD_INPUT = {
     "deterministic-x-tiny": (
         ("continuum", "--kind", "deterministic", "--x", "1e-20", "--lambda", "1",
          "--dt", "0.5", "--t-max", "1"), {}
+    ),
+    # sqrt(2x + lambda**2) overflows
+    "deterministic-x-huge": (
+        ("continuum", "--kind", "deterministic", "--x", "1e308", "--lambda", "0",
+         "--dt", "0.5", "--t-max", "1"), {}
+    ),
+    "deterministic-lambda-huge": (
+        ("continuum", "--kind", "deterministic", "--lambda", "1e200"), {}
     ),
     "deterministic-t-max-below-dt": (
         ("continuum", "--kind", "deterministic", "--dt", "0.5", "--t-max", "0.1"), {}
@@ -555,6 +576,24 @@ def test_verify_takes_no_config_file(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert "--config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--window"])
+@pytest.mark.parametrize("command", ["simulate-graph", "simulate-chain"])
+def test_simulate_takes_no_config_file_or_window_flag(tmp_path, capsys, command, flag):
+    # the flags give the whole run, and --epsilon alone selects the window
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 100\nx = 1\nwindow = general\nepsilon = 0.5\n")
+    value = {"--config": str(cfg), "--window": "general"}[flag]
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys,
+        command, "--n", "100", "--x", "1", "--epsilon", "0.5", flag, value, "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == ""
+    assert flag in err
     assert not out.exists()
 
 

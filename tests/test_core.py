@@ -10,7 +10,6 @@ from critwin import (
     edge_probability,
     make_stream,
 )
-from critwin.core import config_from_mapping, parse_config_text
 
 
 def test_edge_probability_aldous_lambda_zero():
@@ -111,43 +110,3 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(n=10, x=1.0, window=w, replicates=0)
 
-
-def test_parse_config_roundtrip():
-    text = """
-    # example run
-    n = 1000
-    x = 1.5
-    lambda = -0.5
-    window = general
-    epsilon = 0.2
-    seed = 7
-    replicates = 3
-    """
-    cfg = config_from_mapping(parse_config_text(text))
-    assert cfg.n == 1000
-    assert cfg.x == 1.5
-    assert isinstance(cfg.window, GeneralWindow)
-    assert cfg.window.lam == -0.5
-    assert cfg.window.epsilon == 0.2
-    assert cfg.seed == 7
-    assert cfg.replicates == 3
-
-
-def test_parse_config_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("n = 10\nbogus = 3\n")
-
-
-def test_parse_config_bad_value():
-    with pytest.raises(ConfigError, match="bad value"):
-        parse_config_text("n = ten\n")
-
-
-def test_config_requires_n_and_x():
-    with pytest.raises(ConfigError, match="missing required"):
-        config_from_mapping({"n": 10})
-
-
-def test_config_general_requires_epsilon():
-    with pytest.raises(ConfigError, match="epsilon"):
-        config_from_mapping({"n": 10, "x": 1.0, "window": "general"})
