@@ -10,6 +10,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "TOOL_VERSION",
     "write_trace_csv",
@@ -26,75 +28,51 @@ __all__ = [
 TOOL_VERSION = "critwin 0.1.0"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_columns(path, header: str, fmt: str, *columns) -> None:
+    """The header, then `fmt % row` for each row of the columns, in one write.
 
-
-def _write_lines(path: Path, header: str, rows) -> None:
+    Values are formatted as Python numbers (`.tolist()`): `%d` gives the text
+    of `int(x)` and `%.17g` that of `format(float(x), ".17g")`.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    text = "\n".join([header, *(fmt % row for row in rows)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write(text + "\n")
 
 
 def write_trace_csv(path, Z, C) -> None:
     """Height-profile trace: one `h,Z,C` row per height."""
-    _write_lines(
-        Path(path), "h,Z,C", (f"{h},{int(z)},{int(c)}" for h, (z, c) in enumerate(zip(Z, C)))
-    )
+    _write_columns(path, "h,Z,C", "%d,%d,%d", np.arange(len(Z)), Z, C)
 
 
 def write_cousin_csv(path, csn, K) -> None:
     """Cousin series: `j,csn,K` with K(j) the cumulative sum below j."""
-    _write_lines(
-        Path(path),
-        "j,csn,K",
-        (f"{j},{int(c)},{int(K[j])}" for j, c in enumerate(csn)),
-    )
+    _write_columns(path, "j,csn,K", "%d,%d,%d", np.arange(len(csn)), csn, K)
 
 
 def write_walk_csv(path, X) -> None:
-    _write_lines(Path(path), "i,X", (f"{i},{int(x)}" for i, x in enumerate(X)))
+    _write_columns(path, "i,X", "%d,%d", np.arange(len(X)), X)
 
 
 def write_path_csv(path, dt, Z, C) -> None:
     """Continuum path: `t,Z,C` with 17-significant-digit reals."""
-    _write_lines(
-        Path(path),
-        "t,Z,C",
-        (
-            f"{_fmt(i * dt)},{_fmt(z)},{_fmt(c)}"
-            for i, (z, c) in enumerate(zip(Z, C))
-        ),
-    )
+    _write_columns(path, "t,Z,C", "%.17g,%.17g,%.17g", np.arange(len(Z)) * dt, Z, C)
 
 
 def write_hitting_csv(path, times, truncated) -> None:
-    _write_lines(
-        Path(path),
-        "replicate,T,truncated",
-        (
-            f"{r},{_fmt(t)},{int(tr)}"
-            for r, (t, tr) in enumerate(zip(times, truncated))
-        ),
+    _write_columns(
+        path, "replicate,T,truncated", "%d,%.17g,%d", np.arange(len(times)), times, truncated
     )
 
 
 def write_deterministic_csv(path, t_grid, limit) -> None:
     """Deterministic curves on a grid: `t,f,c,z,K`."""
-    rows = (
-        f"{_fmt(t)},{_fmt(limit.f(t))},{_fmt(limit.c(t))},{_fmt(limit.z(t))},{_fmt(limit.k_limit(t))}"
-        for t in t_grid
-    )
-    _write_lines(Path(path), "t,f,c,z,K", rows)
+    curves = ([float(g(t)) for t in t_grid] for g in (limit.f, limit.c, limit.z, limit.k_limit))
+    _write_columns(path, "t,f,c,z,K", "%.17g,%.17g,%.17g,%.17g,%.17g", t_grid, *curves)
 
 
 def write_sweep_csv(path, sweep) -> None:
-    _write_lines(
-        Path(path),
-        "n,quantity,sup_value",
-        (f"{n},{quantity},{_fmt(v)}" for n, quantity, v in sweep.rows()),
-    )
+    _write_columns(path, "n,quantity,sup_value", "%d,%s,%.17g", *zip(*sweep.rows()))
 
 
 def sha256_file(path) -> str:

@@ -235,6 +235,14 @@ def cmd_continuum(args) -> int:
                 f"sqrt(2x + lambda**2) must be finite and above |lambda|, got x = {x}, "
                 f"lambda = {lam}: the curve c(t) is undefined"
             )
+        # every term of f, c, z and K is largest in size at the grid's end
+        end = steps * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = [g(end) for g in (limit.f, limit.c, limit.z, limit.k_limit)]
+        if not np.isfinite(ends).all():
+            raise ConfigError(
+                f"the curves overflow on the grid up to t = {end}: x = {x}, lambda = {lam}"
+            )
 
         def curve(r: int):
             path = args.out / "deterministic.csv"

@@ -5,8 +5,8 @@ times, and the deterministic curves of the drifting-window regime.
 Two independent simulation routes exist for the same law and are compared
 statistically by the verification suites:
 
-* `sde_ensemble` (one recorded path: `simulate_sde`) -- full-truncation
-  Euler-Maruyama for
+* `sde_ensemble` (one recorded path: `simulate_sde`, the same
+  `_euler_step` on scalars) -- full-truncation Euler-Maruyama for
       dZ = sqrt(Z) dW + (lam - C) Z dt,  dC = Z dt,  Z(0) = x,
   absorbed at zero;
 * `lamperti_marginals` (one recorded path: `lamperti_route`) -- simulate
@@ -233,11 +233,39 @@ def sample_parabolic_bm(
     return path[0] + x_offset
 
 
+def _euler_step(z, c, lam, noise, sq: float, dt: float):
+    """One full-truncation Euler-Maruyama step of (Z, C), on arrays or scalars."""
+    return z + np.sqrt(z) * sq * noise + (lam - c) * z * dt, c + z * dt
+
+
+_SDE_BLOCK = 65_536  # normals drawn at a time for one path
+
+
 def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
-    """One recorded `sde_ensemble` path of (Z, C) on the grid 0, dt, ..., ~t_max."""
-    _, _, absorbed_at, z, c = sde_ensemble(x, lam, dt, _grid_steps(dt, t_max), rng, record=True)
-    ab = int(absorbed_at[0])
-    return SdePath(z=z[0], c=c[0], absorbed_at=None if ab < 0 else ab)
+    """One path of `sde_ensemble`'s scheme on the grid 0, dt, ..., ~t_max,
+    stepped on float64 scalars.
+
+    The normals come in blocks of at most `_SDE_BLOCK`, the same values one
+    draw per step gives; after an early absorption the stream has advanced
+    to the end of the block.
+    """
+    n_steps = _grid_steps(dt, t_max)
+    if not x > 0:
+        raise ValueError(f"need x > 0, got {x}")
+    z_path = np.zeros(n_steps + 1)
+    c_path = np.zeros(n_steps + 1)
+    z, c, lam = np.float64(x), np.float64(0.0), np.float64(lam)
+    z_path[0] = z
+    sq = math.sqrt(dt)
+    for lo in range(0, n_steps, _SDE_BLOCK):
+        noises = rng.standard_normal(min(_SDE_BLOCK, n_steps - lo)).tolist()
+        for i, noise in enumerate(noises, lo + 1):
+            z, c = _euler_step(z, c, lam, noise, sq, dt)
+            if z <= 0.0:
+                c_path[i:] = c
+                return SdePath(z=z_path, c=c_path, absorbed_at=i)
+            z_path[i], c_path[i] = z, c
+    return SdePath(z=z_path, c=c_path, absorbed_at=None)
 
 
 def sde_ensemble(
@@ -247,17 +275,16 @@ def sde_ensemble(
     n_steps: int,
     rng: RngStream,
     c0=0.0,
-    record: bool = False,
 ):
     """Full-truncation Euler-Maruyama for (Z, C), vectorized over paths.
 
     Z[i+1] = Z[i] + sqrt(Z[i]) sqrt(dt) N + (lam - C[i]) Z[i] dt and
-    C[i+1] = C[i] + Z[i] dt; at the first Z[i+1] <= 0 a path is absorbed
-    (Z set to 0, C frozen) and drops out of the update loop.  ``z0``,
-    ``lam``, ``c0`` broadcast across paths (per-path drift parameters are
-    what the self-similarity restart needs).  Returns (z_final, c_final,
-    absorbed_at) with absorbed_at = -1 for paths alive at the horizon; with
-    ``record``, also the (paths, n_steps + 1) grids of Z and C.
+    C[i+1] = C[i] + Z[i] dt (`_euler_step`); at the first Z[i+1] <= 0 a path
+    is absorbed (Z set to 0, C frozen) and drops out of the update loop.
+    ``z0``, ``lam``, ``c0`` broadcast across paths (per-path drift
+    parameters are what the self-similarity restart needs).  Returns
+    (z_final, c_final, absorbed_at) with absorbed_at = -1 for paths alive at
+    the horizon.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     n = z0.size
@@ -268,37 +295,22 @@ def sde_ensemble(
     z_final = np.zeros(n)
     c_final = np.zeros(n)
     absorbed_at = np.full(n, -1, dtype=np.int64)
-    if record:
-        z_path = np.zeros((n, n_steps + 1))
-        c_path = np.zeros((n, n_steps + 1))
-        z_path[:, 0] = z0
-        c_path[:, 0] = c_v
     alive = np.arange(n)
     za, ca, la = z0.copy(), c_v, lam_v
     sq = math.sqrt(dt)
     for i in range(1, n_steps + 1):
-        noise = rng.standard_normal(za.size)
-        znext = za + np.sqrt(za) * sq * noise + (la - ca) * za * dt
-        ca = ca + za * dt
-        za = znext
+        za, ca = _euler_step(za, ca, la, rng.standard_normal(za.size), sq, dt)
         dead = za <= 0.0
         if dead.any():
             idx = alive[dead]
             c_final[idx] = ca[dead]
             absorbed_at[idx] = i
-            if record:
-                c_path[idx, i:] = ca[dead, None]
             keep = ~dead
             za, ca, la, alive = za[keep], ca[keep], la[keep], alive[keep]
             if za.size == 0:
                 break
-        if record:
-            z_path[alive, i] = za
-            c_path[alive, i] = ca
     z_final[alive] = za
     c_final[alive] = ca
-    if record:
-        return z_final, c_final, absorbed_at, z_path, c_path
     return z_final, c_final, absorbed_at
 
 

@@ -104,14 +104,21 @@ class WalkPath:
 
 
 def graph_from_edges(n: int, u, v) -> GraphSample:
-    """Assemble CSR adjacency from endpoint arrays (each edge listed once)."""
+    """Assemble CSR adjacency from endpoint arrays (each edge listed once).
+
+    Every endpoint must lie in [0, n) (ValueError otherwise).  Each entry is
+    sorted as the int64 key src * n + dst, so n may be at most about 3.0e9,
+    the same regime as `_pairs_from_linear`.
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    indices = np.ascontiguousarray(dst[order])
-    counts = np.bincount(src, minlength=n)
+    if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    indices = key % n
+    key //= n  # the source of each entry
+    counts = np.bincount(key, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return GraphSample(n=n, indptr=indptr, indices=indices)

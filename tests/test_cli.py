@@ -470,6 +470,20 @@ BAD_INPUT = {
     "deterministic-lambda-huge": (
         ("continuum", "--kind", "deterministic", "--lambda", "1e200"), {}
     ),
+    # s is finite, but K(t) overflows on the grid
+    "deterministic-k-overflow": (
+        ("continuum", "--kind", "deterministic", "--x", "1e300", "--lambda", "1e150",
+         "--dt", "1e99", "--t-max", "1e100"), {}
+    ),
+    # f(t) overflows on the grid
+    "deterministic-f-overflow": (
+        ("continuum", "--kind", "deterministic", "--dt", "1e199", "--t-max", "1e200"), {}
+    ),
+    # f and K are finite, but z = f(c) overflows once c nears t0
+    "deterministic-z-overflow": (
+        ("continuum", "--kind", "deterministic", "--x", "1e300", "--lambda", "1e154",
+         "--dt", "0.5", "--t-max", "1"), {}
+    ),
     "deterministic-t-max-below-dt": (
         ("continuum", "--kind", "deterministic", "--dt", "0.5", "--t-max", "0.1"), {}
     ),

@@ -79,26 +79,59 @@ def test_sde_terminal_c_matches_hitting_time_law():
     assert ks_statistic(c_final, t_hit) <= 0.05
 
 
-def test_sde_ensemble_matches_single_path_scheme():
-    # one path driven by the same stream gives the same terminal state
-    rng1 = make_stream(8, 0, "sde")
-    z1, c1, ab1 = sde_ensemble(np.asarray([1.0]), 0.5, 1e-3, 1000, rng1)
-    rng2 = make_stream(8, 0, "sde")
-    path = simulate_sde(1.0, 0.5, 1e-3, 1.0, rng2)
-    assert z1[0] == pytest.approx(path.z[-1], rel=1e-12)
-    assert c1[0] == pytest.approx(path.c[-1], rel=1e-12)
+def _one_path_ensemble(x, lam, dt, n_steps, rng):
+    """Grids of Z and C that a one-path `sde_ensemble` run steps through,
+    read from its Euler steps, with its absorbed_at."""
+    steps = []
+    euler = continuum._euler_step
+
+    def recording(*args):
+        z, c = euler(*args)
+        steps.append((z[0], c[0]))
+        return z, c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuum, "_euler_step", recording)
+        z_final, c_final, absorbed_at = sde_ensemble(np.array([x]), lam, dt, n_steps, rng)
+    z, c = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    z[0] = x
+    z[1 : len(steps) + 1], c[1 : len(steps) + 1] = np.array(steps).T
+    ab = int(absorbed_at[0])
+    if ab >= 0:
+        z[ab], c[ab:] = 0.0, c[ab]
+    assert (z[-1], c[-1]) == (z_final[0], c_final[0])
+    return z, c, None if ab < 0 else ab
 
 
-def test_sde_record_mode_matches_final_state():
-    z0 = np.array([0.05, 0.5, 1.0, 2.0])
-    zf, cf, ab = sde_ensemble(z0, 0.0, 1e-3, 2000, make_stream(25, 0, "sde"))
-    zr, cr, abr, z, c = sde_ensemble(z0, 0.0, 1e-3, 2000, make_stream(25, 0, "sde"), record=True)
-    assert np.array_equal(zf, zr) and np.array_equal(cf, cr) and np.array_equal(ab, abr)
-    assert np.array_equal(z[:, 0], z0) and np.array_equal(z[:, -1], zf)
-    assert np.array_equal(c[:, -1], cf)
-    for row, at in enumerate(ab):
-        if at >= 0:
-            assert np.all(z[row, at:] == 0.0) and np.all(c[row, at:] == cf[row])
+# (seed, x, lam, dt, t_max, absorbed_at)
+SDE_CASES = {
+    "absorbed-at-step-1": (2, 1e-9, 0.0, 1e-2, 1.0, 1),
+    "absorbed-at-step-3": (5, 1e-9, 0.0, 1e-2, 1.0, 3),
+    "alive-at-horizon": (8, 1.0, 0.5, 1e-3, 1.0, None),
+    "absorbed-mid-run": (4, 0.3, -1.0, 1e-3, 3.0, 2048),
+    "alive-across-a-block-edge": (0, 2.0, 1.0, 1e-5, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("case", SDE_CASES.values(), ids=SDE_CASES.keys())
+def test_sde_ensemble_matches_single_path_scheme(case):
+    # simulate_sde's whole path equals the one a one-path ensemble steps through
+    seed, x, lam, dt, t_max, absorbed_at = case
+    path = simulate_sde(x, lam, dt, t_max, make_stream(seed, 0, "sde"))
+    z, c, ab = _one_path_ensemble(
+        x, lam, dt, round(t_max / dt), make_stream(seed, 0, "sde")
+    )
+    assert path.absorbed_at == ab == absorbed_at
+    assert np.array_equal(path.z, z) and np.array_equal(path.c, c)
+
+
+def test_simulate_sde_draws_the_same_normals_in_any_block_size(monkeypatch):
+    args = (0.3, -1.0, 1e-3, 3.0)
+    whole = simulate_sde(*args, make_stream(4, 0, "sde"))
+    monkeypatch.setattr(continuum, "_SDE_BLOCK", 7)
+    blocks = simulate_sde(*args, make_stream(4, 0, "sde"))
+    assert whole.absorbed_at == blocks.absorbed_at == 2048
+    assert np.array_equal(whole.z, blocks.z) and np.array_equal(whole.c, blocks.c)
 
 
 def test_blockwise_generation_carries_the_walk(monkeypatch):
@@ -297,7 +330,8 @@ def test_lamperti_marginals_rejects_nonpositive_x(x):
 @pytest.mark.parametrize("entry", [
     lambda x, rng: hitting_ensemble(x, 0.0, 1e-3, 1.0, 3, rng),
     lambda x, rng: lamperti_route(x, 0.0, 1e-3, 1.0, rng),
-], ids=["hitting_ensemble", "lamperti_route"])
+    lambda x, rng: simulate_sde(x, 0.0, 1e-3, 1.0, rng),
+], ids=["hitting_ensemble", "lamperti_route", "simulate_sde"])
 def test_nonpositive_x_is_rejected_before_any_draw(entry, x):
     with pytest.raises(ValueError, match="need x > 0"):
         entry(x, _NoDraws())

@@ -51,6 +51,45 @@ def test_sample_graph_adjacency_valid(n, p):
     _assert_valid_adjacency(g)
 
 
+def _lexsort_csr(n, u, v):
+    """CSR of the edge list by a lexsort on (source, target), as a reference."""
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+@pytest.mark.parametrize("n,p", [(1, 0.0), (2, 1.0), (50, 0.2), (1000, 0.004), (10_000, 3e-4)])
+def test_graph_from_edges_matches_lexsort_for_any_edge_order(n, p):
+    rng = np.random.default_rng(n)
+    g = sample_graph(n, p, make_stream(4, 0, "g"))
+    src = np.repeat(np.arange(n), np.diff(g.indptr))
+    lo = src[src < g.indices]
+    hi = g.indices[src < g.indices]
+    flip = rng.random(lo.size) < 0.5  # mirrored entries: u > v
+    u, v = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    order = rng.permutation(lo.size)
+    u, v = u[order], v[order]
+    built = graph_from_edges(n, u, v)
+    indptr, indices = _lexsort_csr(n, u, v)
+    assert np.array_equal(built.indptr, indptr)
+    assert np.array_equal(built.indices, indices)
+    assert np.array_equal(built.indptr, g.indptr) and np.array_equal(built.indices, g.indices)
+
+
+def test_graph_from_edges_without_edges():
+    for n in (1, 5):
+        g = graph_from_edges(n, [], [])
+        assert g.indptr.tolist() == [0] * (n + 1) and g.indices.size == 0
+
+
+@pytest.mark.parametrize("u,v", [([0, 3], [1, 2]), ([0, -1], [1, 2]), ([0, 1], [5, 2])])
+def test_graph_from_edges_rejects_endpoints_outside_the_vertices(u, v):
+    # with n = 3, (0, 3) would otherwise fold into vertex 1's row as key 1 * 3 + 0
+    with pytest.raises(ValueError, match="endpoints"):
+        graph_from_edges(3, u, v)
+
+
 class _FixedUniforms:
     """Stands in for the stream of `sample_graph`'s dense branch: one uniform
     per vertex pair, in row-major pair order."""
