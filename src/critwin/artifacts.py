@@ -1,8 +1,9 @@
 """Deterministic on-disk artifacts: CSV traces and the run manifest.
 
 All CSVs are plain text, `\n` newlines, no locale formatting; reals carry 17
-significant digits so re-runs are byte-identical.  The manifest lists every
-output file with its SHA-256 digest.
+significant digits so re-runs are byte-identical.  Every writer returns the
+SHA-256 digest of the bytes it wrote, and the manifest lists every output file
+with that digest.
 """
 from __future__ import annotations
 
@@ -21,80 +22,82 @@ __all__ = [
     "write_hitting_csv",
     "write_deterministic_csv",
     "write_sweep_csv",
-    "sha256_file",
+    "write_json",
     "write_manifest",
 ]
 
 TOOL_VERSION = "critwin 0.1.0"
 
 
-def _write_columns(path, header: str, fmt: str, *columns) -> None:
-    """The header, then `fmt % row` for each row of the columns, in one write.
+def _write_text(path, text: str) -> str:
+    """Write ``text`` as UTF-8 in one write; returns the SHA-256 of its bytes."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_columns(path, header: str, fmt: str, *columns) -> str:
+    """The header, then `fmt % row` for each row of the columns; returns the digest.
 
     Values are formatted as Python numbers (`.tolist()`): `%d` gives the text
     of `int(x)` and `%.17g` that of `format(float(x), ".17g")`.
     """
     rows = zip(*(np.asarray(col).tolist() for col in columns))
-    text = "\n".join([header, *(fmt % row for row in rows)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    return _write_text(path, "\n".join([header, *(fmt % row for row in rows), ""]))
 
 
-def write_trace_csv(path, Z, C) -> None:
+def write_trace_csv(path, Z, C) -> str:
     """Height-profile trace: one `h,Z,C` row per height."""
-    _write_columns(path, "h,Z,C", "%d,%d,%d", np.arange(len(Z)), Z, C)
+    return _write_columns(path, "h,Z,C", "%d,%d,%d", np.arange(len(Z)), Z, C)
 
 
-def write_cousin_csv(path, csn, K) -> None:
+def write_cousin_csv(path, csn, K) -> str:
     """Cousin series: `j,csn,K` with K(j) the cumulative sum below j."""
-    _write_columns(path, "j,csn,K", "%d,%d,%d", np.arange(len(csn)), csn, K)
+    return _write_columns(path, "j,csn,K", "%d,%d,%d", np.arange(len(csn)), csn, K)
 
 
-def write_walk_csv(path, X) -> None:
-    _write_columns(path, "i,X", "%d,%d", np.arange(len(X)), X)
+def write_walk_csv(path, X) -> str:
+    return _write_columns(path, "i,X", "%d,%d", np.arange(len(X)), X)
 
 
-def write_path_csv(path, dt, Z, C) -> None:
+def write_path_csv(path, dt, Z, C) -> str:
     """Continuum path: `t,Z,C` with 17-significant-digit reals."""
-    _write_columns(path, "t,Z,C", "%.17g,%.17g,%.17g", np.arange(len(Z)) * dt, Z, C)
+    return _write_columns(path, "t,Z,C", "%.17g,%.17g,%.17g", np.arange(len(Z)) * dt, Z, C)
 
 
-def write_hitting_csv(path, times, truncated) -> None:
-    _write_columns(
+def write_hitting_csv(path, times, truncated) -> str:
+    return _write_columns(
         path, "replicate,T,truncated", "%d,%.17g,%d", np.arange(len(times)), times, truncated
     )
 
 
-def write_deterministic_csv(path, t_grid, limit) -> None:
+def write_deterministic_csv(path, t_grid, limit) -> str:
     """Deterministic curves on a grid: `t,f,c,z,K`."""
     curves = ([float(g(t)) for t in t_grid] for g in (limit.f, limit.c, limit.z, limit.k_limit))
-    _write_columns(path, "t,f,c,z,K", "%.17g,%.17g,%.17g,%.17g,%.17g", t_grid, *curves)
+    return _write_columns(path, "t,f,c,z,K", "%.17g,%.17g,%.17g,%.17g,%.17g", t_grid, *curves)
 
 
-def write_sweep_csv(path, sweep) -> None:
-    _write_columns(path, "n,quantity,sup_value", "%d,%s,%.17g", *zip(*sweep.rows()))
+def write_sweep_csv(path, sweep) -> str:
+    return _write_columns(path, "n,quantity,sup_value", "%d,%s,%.17g", *zip(*sweep.rows()))
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def write_json(path, payload: dict) -> str:
+    """``payload`` as 2-space-indented JSON with sorted keys; returns the digest."""
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir, command: str, config: dict, outputs, duration_s: float) -> Path:
-    """Manifest JSON naming every output with its digest; returns its path."""
-    out_dir = Path(out_dir)
-    manifest = {
+def write_manifest(out_dir, command: str, config: dict, outputs: dict, duration_s: float) -> Path:
+    """Manifest JSON naming every output with its digest; returns its path.
+
+    ``outputs`` maps each output's file name to the digest its writer returned.
+    """
+    path = Path(out_dir) / "manifest.json"
+    write_json(path, {
         "tool": TOOL_VERSION,
         "command": command,
         "config": config,
         "duration_s": duration_s,
-        "outputs": {Path(p).name: sha256_file(p) for p in outputs},
-    }
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "outputs": outputs,
+    })
     return path

@@ -74,16 +74,14 @@ def simulate_trace(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     n = config.n
     k = config.k
-    p = edge_probability(config.window, n)
+    log_keep = math.log1p(-edge_probability(config.window, n))
     Z = [k]
     C = [k]
     z, c = k, k
     absorbed_at: int | None = None
     for h in range(1, max_steps + 1):
-        if z == 0 or c >= n:
-            z2 = 0
-        else:
-            z2 = int(rng.binomial(n - c, q_from_p(p, z)))
+        # z >= 1 here; at c == n the draw is Binomial(0, q) = 0 and takes no variate
+        z2 = int(rng.binomial(n - c, -math.expm1(z * log_keep)))  # q_from_p(p, z)
         if z2 == 0:
             absorbed_at = h
             break

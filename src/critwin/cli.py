@@ -113,8 +113,8 @@ def _seed(given: int | None, default: int | None = 0) -> int | None:
     return given
 
 
-def _resolve_config(args) -> tuple[RunConfig, float, dict]:
-    """The run config, its edge probability and its manifest block, all checked.
+def _resolve_config(args) -> tuple[RunConfig, float, int, dict]:
+    """The model, its edge probability, the seed and the manifest block, all checked.
 
     --epsilon selects the drifting window; without it the run is in Aldous's.
     """
@@ -125,9 +125,12 @@ def _resolve_config(args) -> tuple[RunConfig, float, dict]:
         window = AldousWindow(args.lam)
     else:
         window = GeneralWindow(args.lam, args.epsilon)
-    config = RunConfig(args.n, args.x, window, _seed(args.seed), args.replicates)
+    seed = _seed(args.seed)
+    config = RunConfig(args.n, args.x, window)
+    p = edge_probability(window, config.n)
     # describe() derives k, so a window giving k = 0 fails here too
-    return config, edge_probability(config.window, config.n), config.describe()
+    described = {**config.describe(), "seed": seed, "replicates": args.replicates}
+    return config, p, seed, described
 
 
 def _ensure_out_dir(path: Path) -> None:
@@ -140,15 +143,24 @@ def _ensure_out_dir(path: Path) -> None:
         raise IOError(f"output directory {path} is not writable: {exc}") from exc
 
 
-def _run(args, command: str, config: dict, replicates: int, one, gather=None) -> int:
-    """Check --threads, make --out, run one(r) for every replicate, write the
-    manifest and print the report.
+def _write(out: Path, name: str, writer, *data) -> dict:
+    """Write file ``name`` in ``out`` with an artifacts writer: {name: its digest}."""
+    return {name: writer(out / name, *data)}
 
-    one(r) returns the paths it wrote or, with ``gather``, a result;
-    gather(results) then writes them and returns the paths.  Replicates run
-    on a pool of at most min(threads, replicates, cpu count) workers, or
-    serially with one worker; results keep replicate order.
+
+def _run(args, command: str, config: dict, one, gather=None) -> int:
+    """Check --replicates and --threads, make --out, run one(r) for every
+    replicate, write the manifest and print the report.
+
+    one(r) returns the {name: digest} of the files it wrote or, with
+    ``gather``, a result; gather(results) then writes them and returns their
+    {name: digest}.  Replicates run on a pool of at most min(threads,
+    replicates, cpu count) workers, or serially with one worker; results keep
+    replicate order.
     """
+    replicates = args.replicates
+    if replicates < 1:
+        raise ConfigError(f"--replicates must be >= 1, got {replicates}")
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _ensure_out_dir(args.out)
@@ -159,55 +171,45 @@ def _run(args, command: str, config: dict, replicates: int, one, gather=None) ->
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(replicates)))
-    outputs = gather(results) if gather else [path for paths in results for path in paths]
-    manifest_path = artifacts.write_manifest(
-        args.out, command, config, outputs, time.monotonic() - t_start
-    )
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        digests = json.load(fh)["outputs"]
-    print(json.dumps({"command": command, "out_dir": str(args.out), "outputs": digests}))
+    outputs = gather(results) if gather else {k: v for out in results for k, v in out.items()}
+    artifacts.write_manifest(args.out, command, config, outputs, time.monotonic() - t_start)
+    report = {"command": command, "out_dir": str(args.out), "outputs": outputs}
+    print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_simulate_graph(args) -> int:
-    config, p, described = _resolve_config(args)
+    config, p, seed, described = _resolve_config(args)
     k = config.k
 
     def one(r: int):
-        g = sample_graph(config.n, p, make_stream(config.seed, r, "graph"))
-        expl = explore(g, k, make_stream(config.seed, r, "roots"))
+        g = sample_graph(config.n, p, make_stream(seed, r, "graph"))
+        expl = explore(g, k, make_stream(seed, r, "roots"))
         series = cousin_series(expl)
-        trace_path = args.out / f"trace_{r:04d}.csv"
-        cousin_path = args.out / f"cousin_{r:04d}.csv"
-        artifacts.write_trace_csv(trace_path, series.Z, series.C)
-        artifacts.write_cousin_csv(cousin_path, series.csn, series.K)
-        paths = [trace_path, cousin_path]
+        written = _write(args.out, f"trace_{r:04d}.csv", artifacts.write_trace_csv,
+                         series.Z, series.C)
+        written.update(_write(args.out, f"cousin_{r:04d}.csv", artifacts.write_cousin_csv,
+                              series.csn, series.K))
         if args.walk:
-            walk = breadth_first_walk(g, make_stream(config.seed, r, "walk"))
-            walk_path = args.out / f"walk_{r:04d}.csv"
-            artifacts.write_walk_csv(walk_path, walk.X)
-            paths.append(walk_path)
-        return paths
+            walk = breadth_first_walk(g, make_stream(seed, r, "walk"))
+            written.update(_write(args.out, f"walk_{r:04d}.csv", artifacts.write_walk_csv, walk.X))
+        return written
 
-    return _run(args, "simulate-graph", described, config.replicates, one)
+    return _run(args, "simulate-graph", described, one)
 
 
 def cmd_simulate_chain(args) -> int:
     if args.max_steps is not None and args.max_steps < 1:
         raise ConfigError(f"--max-steps must be >= 1, got {args.max_steps}")
-    config, _, described = _resolve_config(args)
+    config, _, seed, described = _resolve_config(args)
     if args.max_steps is not None:
         described["max_steps"] = args.max_steps
 
     def one(r: int):
-        trace = simulate_trace(
-            config, max_steps=args.max_steps, rng=make_stream(config.seed, r, "chain")
-        )
-        path = args.out / f"trace_{r:04d}.csv"
-        artifacts.write_trace_csv(path, trace.Z, trace.C)
-        return [path]
+        trace = simulate_trace(config, max_steps=args.max_steps, rng=make_stream(seed, r, "chain"))
+        return _write(args.out, f"trace_{r:04d}.csv", artifacts.write_trace_csv, trace.Z, trace.C)
 
-    return _run(args, "simulate-chain", described, config.replicates, one)
+    return _run(args, "simulate-chain", described, one)
 
 
 def cmd_continuum(args) -> int:
@@ -215,8 +217,6 @@ def cmd_continuum(args) -> int:
     for name, val in (("--x", x), ("--lambda", lam), ("--dt", dt), ("--t-max", t_max)):
         if not math.isfinite(val):
             raise ConfigError(f"{name} must be finite, got {val}")
-    if args.replicates < 1:
-        raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
     steps = _grid_steps(dt, t_max)
     if x <= 0:
         raise ConfigError(f"--x must be > 0, got {x}")
@@ -245,11 +245,11 @@ def cmd_continuum(args) -> int:
             )
 
         def curve(r: int):
-            path = args.out / "deterministic.csv"
-            artifacts.write_deterministic_csv(path, np.arange(steps + 1) * dt, limit)
-            return [path]
+            t_grid = np.arange(steps + 1) * dt
+            return _write(args.out, "deterministic.csv", artifacts.write_deterministic_csv,
+                          t_grid, limit)
 
-        return _run(args, command, params, 1, curve)
+        return _run(args, command, params, curve)
     seed = _seed(args.seed)
     params.update(seed=seed, replicates=args.replicates)
     if args.kind == "hitting":  # one path per replicate, one CSV for them all
@@ -258,12 +258,10 @@ def cmd_continuum(args) -> int:
             return hitting_ensemble(x, lam, dt, t_max, 1, make_stream(seed, r, "hitting"))
 
         def write(samples):
-            path = args.out / "hitting.csv"
             times, truncated = (np.concatenate(column) for column in zip(*samples))
-            artifacts.write_hitting_csv(path, times, truncated)
-            return [path]
+            return _write(args.out, "hitting.csv", artifacts.write_hitting_csv, times, truncated)
 
-        return _run(args, command, params, args.replicates, hit, write)
+        return _run(args, command, params, hit, write)
 
     def one(r: int):
         rng = make_stream(seed, r, args.kind)
@@ -274,11 +272,9 @@ def cmd_continuum(args) -> int:
             route = simulate_sde if args.kind == "sde" else lamperti_route
             sim = route(x, lam, dt, t_max, rng)
             z, c = sim.z, sim.c
-        path = args.out / f"{args.kind}_{r:04d}.csv"
-        artifacts.write_path_csv(path, dt, z, c)
-        return [path]
+        return _write(args.out, f"{args.kind}_{r:04d}.csv", artifacts.write_path_csv, dt, z, c)
 
-    return _run(args, command, params, args.replicates, one)
+    return _run(args, command, params, one)
 
 
 def cmd_verify(args) -> int:
@@ -292,16 +288,10 @@ def cmd_verify(args) -> int:
     payload["duration_s"] = time.monotonic() - t_start
     print(json.dumps(payload))
     if args.out is not None:
-        report_path = args.out / "report.json"
         on_disk = {key: val for key, val in payload.items() if key != "duration_s"}
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(on_disk, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs = [report_path]
+        outputs = _write(args.out, "report.json", artifacts.write_json, on_disk)
         if args.suite == "moments":
-            sweep_path = args.out / "sweep.csv"
-            artifacts.write_sweep_csv(sweep_path, bound_sweep())
-            outputs.append(sweep_path)
+            outputs.update(_write(args.out, "sweep.csv", artifacts.write_sweep_csv, bound_sweep()))
         artifacts.write_manifest(
             args.out,
             f"verify-{args.suite}",

@@ -193,23 +193,17 @@ def _floor_guarded(y: float) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run: population size, initial mass, window, seeding."""
+    """The model: population size, initial mass and window."""
 
     n: int
     x: float
     window: CriticalWindow
-    seed: int = 0
-    replicates: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0 < self.x < math.inf:
             raise ConfigError(f"x must be finite and > 0, got {self.x}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def k(self) -> int:
@@ -228,7 +222,7 @@ class RunConfig:
         return k
 
     def describe(self) -> dict:
-        d = {"n": self.n, "x": self.x, "seed": self.seed, "replicates": self.replicates}
+        d = {"n": self.n, "x": self.x}
         d.update(self.window.describe(self.n))
         d["k"] = self.k
         return d

@@ -287,7 +287,7 @@ def suite_lamperti(seed: int) -> ComparisonReport:
 
 def _chain_traces(seed: int, window, n: int, x: float, replicates: int):
     """Chain traces of replicates 0, 1, ..., each on its own "chain" stream."""
-    cfg = RunConfig(n=n, x=x, window=window, seed=seed, replicates=replicates)
+    cfg = RunConfig(n, x, window)
     for r in range(replicates):
         yield simulate_trace(cfg, rng=make_stream(seed, r, "chain"))
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,39 +21,58 @@ def _lines(path):
         return fh.read().decode("utf-8").split("\n")
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("dt", [0.1, 1 / 3, 1e-4])
 def test_path_csv_rows_are_the_formatted_floats(tmp_path, dt):
     path = tmp_path / "p.csv"
-    artifacts.write_path_csv(path, dt, REALS, REALS[::-1])
+    digest = artifacts.write_path_csv(path, dt, REALS, REALS[::-1])
     expected = [f"{_fmt(i * dt)},{_fmt(z)},{_fmt(c)}"
                 for i, (z, c) in enumerate(zip(REALS, REALS[::-1]))]
     assert _lines(path) == ["t,Z,C", *expected, ""]
+    assert digest == _sha256(path)
 
 
 def test_integer_csv_rows_are_the_formatted_ints(tmp_path):
-    artifacts.write_trace_csv(tmp_path / "t.csv", INTS, INTS[::-1])
+    digest = artifacts.write_trace_csv(tmp_path / "t.csv", INTS, INTS[::-1])
     assert _lines(tmp_path / "t.csv") == [
         "h,Z,C", *(f"{h},{int(z)},{int(c)}" for h, (z, c) in enumerate(zip(INTS, INTS[::-1]))), ""
     ]
+    assert digest == _sha256(tmp_path / "t.csv")
     K = np.concatenate([[0], INTS[::-1]])  # K carries one entry more than csn
-    artifacts.write_cousin_csv(tmp_path / "c.csv", INTS, K)
+    digest = artifacts.write_cousin_csv(tmp_path / "c.csv", INTS, K)
     assert _lines(tmp_path / "c.csv") == [
         "j,csn,K", *(f"{j},{int(c)},{int(K[j])}" for j, c in enumerate(INTS)), ""
     ]
-    artifacts.write_walk_csv(tmp_path / "w.csv", INTS)
+    assert digest == _sha256(tmp_path / "c.csv")
+    digest = artifacts.write_walk_csv(tmp_path / "w.csv", INTS)
     assert _lines(tmp_path / "w.csv") == ["i,X", *(f"{i},{int(x)}" for i, x in enumerate(INTS)), ""]
+    assert digest == _sha256(tmp_path / "w.csv")
 
 
 def test_hitting_csv_rows_are_the_formatted_values(tmp_path):
     truncated = np.arange(REALS.size) % 2 == 0
-    artifacts.write_hitting_csv(tmp_path / "h.csv", REALS, truncated)
+    digest = artifacts.write_hitting_csv(tmp_path / "h.csv", REALS, truncated)
     assert _lines(tmp_path / "h.csv") == [
         "replicate,T,truncated",
         *(f"{r},{_fmt(t)},{int(tr)}" for r, (t, tr) in enumerate(zip(REALS, truncated))),
         "",
     ]
+    assert digest == _sha256(tmp_path / "h.csv")
 
 
 def test_empty_csv_is_the_header_alone(tmp_path):
-    artifacts.write_walk_csv(tmp_path / "w.csv", np.array([], dtype=np.int64))
+    digest = artifacts.write_walk_csv(tmp_path / "w.csv", np.array([], dtype=np.int64))
     assert _lines(tmp_path / "w.csv") == ["i,X", ""]
+    assert digest == _sha256(tmp_path / "w.csv")
+
+
+def test_manifest_lists_the_digests_it_is_given(tmp_path):
+    outputs = {"w.csv": artifacts.write_walk_csv(tmp_path / "w.csv", INTS)}
+    path = artifacts.write_manifest(tmp_path, "cmd", {"seed": 1, "n": 2}, outputs, 0.5)
+    assert path == tmp_path / "manifest.json"
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert json.loads(text)["outputs"] == {"w.csv": _sha256(tmp_path / "w.csv")}

@@ -28,17 +28,20 @@ def test_q_from_p_matches_naive_power():
 
 def test_simulate_trace_all_infected_at_start():
     # k = n: no susceptibles, absorbed at the first generation
-    cfg = RunConfig(n=4, x=4 ** (2.0 / 3.0), window=AldousWindow(0.0), seed=3)
+    cfg = RunConfig(n=4, x=4 ** (2.0 / 3.0), window=AldousWindow(0.0))
     assert cfg.k == 4
-    tr = simulate_trace(cfg, rng=make_stream(3, 0, "c"))
+    rng = make_stream(3, 0, "c")
+    tr = simulate_trace(cfg, rng=rng)
     assert tr.Z.tolist() == [4]
     assert tr.C.tolist() == [4]
     assert tr.absorbed_at == 1
     assert not tr.truncated
+    # the Binomial(0, q) draw that absorbed it took no variate from the stream
+    assert rng.random() == make_stream(3, 0, "c").random()
 
 
 def test_simulate_trace_structure_and_absorption():
-    cfg = RunConfig(n=500, x=1.0, window=AldousWindow(0.5), seed=9, replicates=1)
+    cfg = RunConfig(n=500, x=1.0, window=AldousWindow(0.5))
     for rep in range(50):
         tr = simulate_trace(cfg, rng=make_stream(9, rep, "c"))
         assert tr.Z[0] == tr.C[0] == cfg.k
@@ -53,7 +56,7 @@ def test_simulate_trace_structure_and_absorption():
 
 def test_simulate_trace_mean_first_generation():
     # E[Z(1)] = (n-k) * (1 - (1-p)**k) for n=100, k=5, lam=0
-    cfg = RunConfig(n=100, x=5.0 / float(np.cbrt(100.0)), window=AldousWindow(0.0), seed=4)
+    cfg = RunConfig(n=100, x=5.0 / float(np.cbrt(100.0)), window=AldousWindow(0.0))
     assert cfg.k == 5
     expected = 95.0 * (1.0 - 0.99**5)
     reps = 10**5
@@ -67,7 +70,7 @@ def test_simulate_trace_mean_first_generation():
 
 
 def test_simulate_trace_truncation_flag():
-    cfg = RunConfig(n=10**4, x=2.0, window=AldousWindow(1.0), seed=6)
+    cfg = RunConfig(n=10**4, x=2.0, window=AldousWindow(1.0))
     tr = simulate_trace(cfg, max_steps=1, rng=make_stream(6, 0, "c"))
     # with k = 43 infectives the first generation is essentially never empty
     assert tr.truncated

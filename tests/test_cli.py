@@ -36,7 +36,7 @@ def test_simulate_chain_writes_artifacts_and_manifest(tmp_path, capsys):
     assert manifest["config"]["n"] == 500
     assert manifest["config"]["k"] == 7
     # trace contents match the library run with the same stream
-    cfg = RunConfig(n=500, x=1.0, window=AldousWindow(0.5), seed=3, replicates=3)
+    cfg = RunConfig(n=500, x=1.0, window=AldousWindow(0.5))
     trace = simulate_trace(cfg, rng=make_stream(3, 1, "chain"))
     lines = (out / "trace_0001.csv").read_text().splitlines()
     assert lines[0] == "h,Z,C"
@@ -100,6 +100,20 @@ def test_simulate_graph_walk_flag(tmp_path, capsys):
     assert len(lines) == 42  # header + X(0..n)
     # full exploration ends at -(number of components)
     assert int(lines[-1].split(",")[1]) < 0
+
+
+def test_simulate_graph_prints_its_outputs_sorted_as_the_manifest(tmp_path, capsys):
+    out = tmp_path / "w"
+    code, stdout, _ = run_cli(
+        capsys,
+        "simulate-graph", "--n", "40", "--x", "1.0", "--seed", "8", "--replicates", "2",
+        "--walk", "--out", str(out),
+    )
+    assert code == 0
+    printed = list(json.loads(stdout)["outputs"].items())
+    assert len(printed) == 6
+    assert printed == sorted(printed)
+    assert printed == list(json.loads((out / "manifest.json").read_text())["outputs"].items())
 
 
 def test_verify_out_writes_report_and_sweep(tmp_path, capsys):
@@ -437,11 +451,13 @@ def test_thread_pool_capped_by_replicates_and_cpus(tmp_path, capsys, monkeypatch
 
 _SDE = ("continuum", "--kind", "sde")
 BAD_INPUT = {
-    # p or k out of range: n < 2, k = 0, p >= 1, p = nan; epsilon not > 0
+    # p or k out of range: n < 2, k = 0, p >= 1, p = nan; epsilon not > 0; then the run
+    # flags, which the CLI checks itself
     **{f"{cmd}{flags[0]}-{flags[1]}": ((cmd, "--n", "100", "--x", "1", *flags), {})
        for cmd in ("simulate-graph", "simulate-chain")
        for flags in (("--n", "1"), ("--x", "0.01"), ("--lambda", "1000"), ("--lambda", "nan"),
-                     ("--epsilon", "0"), ("--epsilon", "nan"))},
+                     ("--epsilon", "0"), ("--epsilon", "nan"),
+                     ("--replicates", "0"), ("--seed", "-1"), ("--threads", "0"))},
     "chain-missing-n": (("simulate-chain", "--x", "1"), {}),
     "continuum-seed-flag": ((*_SDE, "--seed", "-1"), {}),
     "continuum-seed-env": (_SDE, {"CW_SEED": "-3"}),

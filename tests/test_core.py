@@ -107,6 +107,7 @@ def test_run_config_validation():
         RunConfig(n=0, x=1.0, window=w)
     with pytest.raises(ConfigError):
         RunConfig(n=10, x=0.0, window=w)
-    with pytest.raises(ConfigError):
-        RunConfig(n=10, x=1.0, window=w, replicates=0)
+    # the seed and the replicate count belong to the run, not to the model
+    with pytest.raises(TypeError):
+        RunConfig(n=10, x=1.0, window=w, seed=1)
 
