@@ -33,6 +33,7 @@ from .core import (
     CritwinError,
     GeneralWindow,
     RunConfig,
+    _checked_seed,
     edge_probability,
     make_stream,
 )
@@ -98,9 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed(given: int | None, default: int | None = 0) -> int | None:
-    """The seed from the --seed flag, else CW_SEED, else ``default``.
-
-    A negative seed, from either source, is a ConfigError.
+    """The seed from the --seed flag, else CW_SEED, else ``default``; its
+    caller checks it with `_checked_seed`, or `_checked_suite` for verify.
     """
     if given is None:
         raw = os.environ.get("CW_SEED")
@@ -108,8 +108,6 @@ def _seed(given: int | None, default: int | None = 0) -> int | None:
             given = default if raw is None else int(raw)
         except ValueError as exc:
             raise ConfigError(f"CW_SEED must be an integer, got {raw!r}") from exc
-    if given is not None and given < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {given}")
     return given
 
 
@@ -125,7 +123,7 @@ def _resolve_config(args) -> tuple[RunConfig, float, int, dict]:
         window = AldousWindow(args.lam)
     else:
         window = GeneralWindow(args.lam, args.epsilon)
-    seed = _seed(args.seed)
+    seed = _checked_seed(_seed(args.seed))
     config = RunConfig(args.n, args.x, window)
     p = edge_probability(window, config.n)
     # describe() derives k, so a window giving k = 0 fails here too
@@ -250,7 +248,7 @@ def cmd_continuum(args) -> int:
                           t_grid, limit)
 
         return _run(args, command, params, curve)
-    seed = _seed(args.seed)
+    seed = _checked_seed(_seed(args.seed))
     params.update(seed=seed, replicates=args.replicates)
     if args.kind == "hitting":  # one path per replicate, one CSV for them all
 

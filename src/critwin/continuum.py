@@ -15,13 +15,15 @@ statistically by the verification suites:
   interpolant of the grid, cell by cell as the grid is drawn; a path is
   absorbed where the interpolant falls to dt or at a bridge crossing.
 
-X is generated in one place, `_first_passage`, which also finds the first
-passage of x + X to zero for the hitting times and runs the Lamperti clock,
-so no X grid is stored.  One crossing convention holds throughout: a
-crossing seen on the grid is placed by linear interpolation inside its
-cell, and a crossing between grid points detected by the Brownian-bridge
-test (probability exp(-2ab/dt) for a cell with positive endpoints a, b) is
-placed at the cell midpoint.
+`_first_passage` draws X a block at a time, finds the first passage of
+x + X to zero for the hitting times and runs the Lamperti clock, so no X
+grid is stored.  `sample_parabolic_bm` draws the same X directly, as one
+recorded path; a test holds the two equal on the same normals.
+
+One crossing convention holds throughout: a crossing seen on the grid is
+placed by linear interpolation inside its cell, and a crossing between grid
+points detected by the Brownian-bridge test (probability exp(-2ab/dt) for a
+cell with positive endpoints a, b) is placed at the cell midpoint.
 
 Drift is always applied analytically on the grid; only the Brownian part is
 sampled.  Ensemble variants are vectorized across paths and draw from a
@@ -88,23 +90,22 @@ def _cell_time(a, b, w):
     return t
 
 
-def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
-                   bridge: bool = True, out: np.ndarray | None = None,
-                   t_at: np.ndarray | None = None):
-    """X on the grid 0, dt, ..., m*dt, one block of columns at a time, and the
-    first passage of x + X to zero; (t_cross, truncated), and with ``t_at``
-    also the time-changed (Z, C) at those times.
+def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
+                   bridge: bool = True, t_at: np.ndarray | None = None):
+    """The first passage of x + X to zero on the grid 0, dt, ..., m*dt, one
+    block of columns at a time; (t_cross, truncated), and with ``t_at`` also
+    the time-changed (Z, C) at those times.
 
-    Each block draws a (live paths, columns) array of standard normals and,
-    when ``x`` is given, a same-shaped array of bridge uniforms; the running
-    sum of the normals is carried across block edges.  A path retires after
-    the block in which x + X reaches zero on the grid, so the live set and
-    the draws are the same whether ``bridge`` is on or off.  The earliest
-    event is kept: a grid crossing placed by linear interpolation inside its
-    cell or, with ``bridge``, a cell with positive endpoints a, b crossing
-    with probability exp(-2ab/dt), placed at the cell midpoint; the bridge
-    test removes the O(sqrt(dt)) late bias of grid-only detection.  Paths
-    with no event are truncated at m*dt.
+    Each block draws a (live paths, columns) array of standard normals, then
+    a same-shaped array of bridge uniforms, and turns the running sum of the
+    normals, carried across block edges, into x + X over its columns in
+    place.  A path retires after the block in which x + X reaches zero on
+    the grid, so the live set and the draws are the same whether ``bridge``
+    is on or off.  The earliest event is kept: a grid crossing placed by
+    linear interpolation inside its cell or, with ``bridge``, a cell with
+    positive endpoints a, b crossing with probability exp(-2ab/dt), placed
+    at the cell midpoint; the bridge test removes the O(sqrt(dt)) late bias
+    of grid-only detection.  Paths with no event are truncated at m*dt.
 
     With ``t_at`` (sorted times >= 0), C solves dC/dt = x + X(C) exactly on
     the piecewise-linear interpolant: a cell from a to b takes `_cell_time`,
@@ -115,45 +116,31 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
     truncated, z, c), z and c of shape (n_paths, t_at.size); a path whose
     grid ends before a time reads the grid's end there.
 
-    A given ``x`` must be > 0 (ValueError before any draw).  With
-    ``x=None`` there is no crossing test: no uniforms are drawn and every
-    path runs to m.  With ``out`` (n_paths, m + 1), X is written into it,
-    each row up to the end of the block in which its path retires.
+    ``x`` must be > 0 (ValueError before any draw).
     """
-    if x is not None and not x > 0:
+    if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
     sq = math.sqrt(dt)
     t_cross = np.full(n_paths, np.inf)
     walk_end = np.zeros(n_paths)  # sum of the normals at the block's left edge
-    s_end = np.full(n_paths, np.nan if x is None else float(x))  # x + X there
     if t_at is not None:
         z_at = np.zeros((n_paths, t_at.size))
         c_at = np.zeros((n_paths, t_at.size))
         clock = np.zeros(n_paths)  # time-change clock at the block's left edge
         done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
-    if out is not None:
-        out[:n_paths, 0] = 0.0
     live = np.arange(n_paths)
     hi = 0
     while hi < m and live.size:
         lo, hi = hi, min(m, hi + max(1, _BLOCK // live.size))
-        walk = np.empty((live.size, hi - lo + 1))
-        walk[:, 0] = walk_end[live]
-        walk[:, 1:] = rng.standard_normal((live.size, hi - lo))
-        np.cumsum(walk, axis=1, out=walk)
-        walk_end[live] = walk[:, -1]
-        xb = walk[:, 1:]  # in place: X on the block's columns
-        xb *= sq
-        xb += _drift(lam, np.arange(lo + 1, hi + 1) * dt)
-        if out is not None:
-            out[live, lo + 1 : hi + 1] = xb
-        if x is None:
-            continue
-        u = rng.random(xb.shape)
-        s = walk  # reused: x + X on the block's columns, left edge included
-        s[:, 0] = s_end[live]
-        xb += x
-        s_end[live] = s[:, -1]
+        s = np.empty((live.size, hi - lo + 1))
+        s[:, 0] = walk_end[live]
+        s[:, 1:] = rng.standard_normal((live.size, hi - lo))
+        np.cumsum(s, axis=1, out=s)
+        walk_end[live] = s[:, -1]
+        s *= sq  # in place: x + X on the block's columns, left edge included
+        s += _drift(lam, np.arange(lo, hi + 1) * dt)
+        s += x
+        u = rng.random((live.size, hi - lo))
         t_new = np.full(live.size, np.inf)
         neg = s[:, 1:] <= 0.0
         crossed = neg.any(axis=1)
@@ -219,6 +206,7 @@ def _first_passage(x, lam: float, dt: float, m: int, n_paths: int, rng: RngStrea
     if t_at is None:
         return t_cross, truncated
     short = np.arange(t_at.size) >= done[:, None]  # past the end of the grid
+    s_end = walk_end * sq + _drift(lam, m * dt) + x  # x + X at the grid's end
     return (t_cross, truncated,
             np.where(short, s_end[:, None], z_at), np.where(short, m * dt, c_at))
 
@@ -228,9 +216,13 @@ def sample_parabolic_bm(
 ) -> np.ndarray:
     """x_offset + X on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
     m = _grid_steps(dt, t_max)
-    path = np.empty((1, m + 1))
-    _first_passage(None, lam, dt, m, 1, rng, out=path)
-    return path[0] + x_offset
+    path = np.zeros(m + 1)
+    rng.standard_normal(out=path[1:])
+    np.cumsum(path, out=path)
+    path *= math.sqrt(dt)
+    path += _drift(lam, np.arange(m + 1) * dt)
+    path += x_offset
+    return path
 
 
 def _euler_step(z, c, lam, noise, sq: float, dt: float):

@@ -234,6 +234,13 @@ class RunConfig:
 RngStream = np.random.Generator
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed``, once it is checked: a negative seed is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def make_stream(seed: int, replicate: int, label: str) -> RngStream:
     """Deterministic stream for (seed, replicate, label).
 

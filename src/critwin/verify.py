@@ -51,6 +51,7 @@ from .core import (
     GeneralWindow,
     InvalidWindowError,
     RunConfig,
+    _checked_seed,
     edge_probability,
     make_stream,
 )
@@ -511,9 +512,7 @@ def _checked_suite(name: str, seed: int | None):
         raise ConfigError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return partial(SUITES[name], seed=DEFAULT_SEED if seed is None else seed)
+    return partial(SUITES[name], seed=DEFAULT_SEED if seed is None else _checked_seed(seed))
 
 
 def run_suite(name: str, seed: int | None = None) -> ComparisonReport:

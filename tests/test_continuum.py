@@ -134,33 +134,50 @@ def test_simulate_sde_draws_the_same_normals_in_any_block_size(monkeypatch):
     assert np.array_equal(whole.z, blocks.z) and np.array_equal(whole.c, blocks.c)
 
 
+class _SplitRng:
+    """Normals and uniforms from two generators, so that how the draws are cut
+    into blocks does not change their values."""
+
+    def __init__(self, seed):
+        self._normal, self._uniform = (make_stream(seed, 0, label) for label in ("n", "u"))
+
+    def standard_normal(self, size):
+        return self._normal.standard_normal(size)
+
+    def random(self, size):
+        return self._uniform.random(size)
+
+
 def test_blockwise_generation_carries_the_walk(monkeypatch):
-    args = (0.5, 1.0, 1e-3, 1.0)
-    whole = sample_parabolic_bm(*args, make_stream(24, 0, "pb"))
-    monkeypatch.setattr(continuum, "_BLOCK", 7)
-    blocks = sample_parabolic_bm(*args, make_stream(24, 0, "pb"))
-    assert np.array_equal(whole, blocks)
+    # one path takes its normals in the same order at any block size, and
+    # their running sum carries across block edges, so blocks of 7 columns
+    # change no crossing
+    for seed in range(6):
+        whole = hitting_ensemble(0.5, 1.0, 1e-3, 4.0, 1, _SplitRng(seed))
+        monkeypatch.setattr(continuum, "_BLOCK", 7)
+        blocks = hitting_ensemble(0.5, 1.0, 1e-3, 4.0, 1, _SplitRng(seed))
+        monkeypatch.undo()
+        assert not whole[1].any()
+        assert np.array_equal(whole[0], blocks[0]) and np.array_equal(whole[1], blocks[1])
 
 
 def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
-    # small blocks put many crossings near block edges; each must be the
-    # interpolated root in the first cell where x + X reaches zero
-    monkeypatch.setattr(continuum, "_BLOCK", 64)
+    # blocks of 7 columns put crossings in a block's first cell, whose left
+    # end is the carried walk; each must be the interpolated root in the
+    # first cell where x + X reaches zero on the path that
+    # `sample_parabolic_bm` draws from the same normals
+    monkeypatch.setattr(continuum, "_BLOCK", 7)
     x, dt = 1.0, 1e-2
-    grid = np.empty((16, 1201))
-    t, truncated = _first_passage(
-        x, 0.0, dt, 1200, 16, make_stream(26, 0, "h"), bridge=False, out=grid
-    )
-    assert not truncated.any()
-    # a row is written up to the end of the block holding its first grid
-    # crossing; scan each row only that far
-    j = np.ones(16, dtype=np.int64)
-    for r in range(16):
-        while x + grid[r, j[r]] > 0.0:
-            j[r] += 1
-    rows = np.arange(16)
-    a, b = x + grid[rows, j - 1], x + grid[rows, j]
-    assert np.allclose(t, (j - 1 + a / (a - b)) * dt, rtol=0, atol=1e-12)
+    first_cells = 0
+    for seed in range(16):
+        (t,), (truncated,) = _first_passage(x, 0.0, dt, 1200, 1, _SplitRng(seed), bridge=False)
+        path = sample_parabolic_bm(0.0, x, dt, 12.0, make_stream(seed, 0, "n"))
+        assert not truncated
+        j = np.argmax(path[1:] <= 0.0)  # the crossing cell runs from j to j + 1
+        a, b = path[j], path[j + 1]
+        assert t == (j + a / (a - b)) * dt
+        first_cells += j % 7 == 0
+    assert first_cells > 0
 
 
 @pytest.mark.parametrize("a,b", [
@@ -196,20 +213,6 @@ def test_lamperti_marginals_cross_where_hitting_ensemble_does():
     _, _, t_cross, truncated = lamperti_marginals(1.0, 0.5, 1e-3, 1.0, 300, make_stream(4, 0, "q"))
     t_hit, hit_truncated = hitting_ensemble(1.0, 0.5, 1e-3, span, 300, make_stream(4, 0, "q"))
     assert np.array_equal(t_cross, t_hit) and np.array_equal(truncated, hit_truncated)
-
-
-class _SplitRng:
-    """Normals and uniforms from two generators, so that how the draws are cut
-    into blocks does not change their values."""
-
-    def __init__(self, seed):
-        self._normal, self._uniform = (make_stream(seed, 0, label) for label in ("n", "u"))
-
-    def standard_normal(self, size):
-        return self._normal.standard_normal(size)
-
-    def random(self, size):
-        return self._uniform.random(size)
 
 
 def test_lamperti_route_is_block_invariant(monkeypatch):
