@@ -18,7 +18,11 @@ statistically by the verification suites:
 `_first_passage` draws X a block at a time, finds the first passage of
 x + X to zero for the hitting times and runs the Lamperti clock, so no X
 grid is stored.  `sample_parabolic_bm` draws the same X directly, as one
-recorded path; a test holds the two equal on the same normals.
+recorded path; a test holds the two equal on the same normals.  Each
+`_first_passage` call shares its blocks' work with one helper thread of its
+own, with no change to the draws or to any output byte; the helper calls
+none of the functions that `perfbench/tracing.py` wraps, so that tracer's
+one-thread span stack still holds.
 
 One crossing convention holds throughout: a crossing seen on the grid is
 placed by linear interpolation inside its cell, and a crossing between grid
@@ -32,6 +36,7 @@ single stream, which keeps them deterministic given (seed, label).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +121,17 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     truncated, z, c), z and c of shape (n_paths, t_at.size); a path whose
     grid ends before a time reads the grid's end there.
 
+    A block of two rows or more shares its work with the call's one helper
+    thread, which is gone when the call returns: the helper draws the
+    block's uniforms while the calling thread forms x + X, then takes the
+    events (crossing, bridge test and clock) of the upper half of the rows
+    while the calling thread takes the lower half.  A block of one row runs
+    inline, so a one-path call starts no thread.  Only the helper touches
+    ``rng`` while it draws, the halves write disjoint paths' entries, and
+    every row's arithmetic is the same as on one thread, so the draws and
+    the outputs do not depend on the split.  A caller's `np.errstate` does
+    not reach the helper, which runs under numpy's default error state.
+
     ``x`` must be > 0 (ValueError before any draw).
     """
     if not x > 0:
@@ -128,22 +144,11 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
         c_at = np.zeros((n_paths, t_at.size))
         clock = np.zeros(n_paths)  # time-change clock at the block's left edge
         done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
-    live = np.arange(n_paths)
-    hi = 0
-    while hi < m and live.size:
-        lo, hi = hi, min(m, hi + max(1, _BLOCK // live.size))
-        s = np.empty((live.size, hi - lo + 1))
-        s[:, 0] = walk_end[live]
-        s[:, 1:] = rng.standard_normal((live.size, hi - lo))
-        np.cumsum(s, axis=1, out=s)
-        walk_end[live] = s[:, -1]
-        s *= sq  # in place: x + X on the block's columns, left edge included
-        s += _drift(lam, np.arange(lo, hi + 1) * dt)
-        s += x
-        u = rng.random((live.size, hi - lo))
-        t_new = np.full(live.size, np.inf)
-        neg = s[:, 1:] <= 0.0
-        crossed = neg.any(axis=1)
+
+    def events(lo, s, u, neg, crossed, paths):
+        """The earliest event and the clock on some rows of the block; s, u,
+        neg and crossed are those rows, ``paths`` their paths."""
+        t_new = np.full(paths.size, np.inf)
         r = np.flatnonzero(crossed)
         j = np.argmax(neg[r], axis=1)
         a, b = s[r, j], s[r, j + 1]
@@ -155,52 +160,79 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
             prob *= -2.0
             prob /= dt
             np.exp(prob, out=prob)
-            fired = np.less(u, prob, out=neg)
+            fired = np.less(u, prob, out=neg)  # neg's rows are spent, and these are ours
             del prob
             fired &= left > 0.0
             fired &= right > 0.0
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_new[r] = np.minimum(t_new[r], t_fire)
-        t_cross[live] = np.minimum(t_cross[live], t_new)
-        del u  # spent, as is prob: their blocks go before the clock's temporaries
-        if t_at is not None:
-            own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
-            p, sv = live[own], s[own]
-            np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
-            stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
-            stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
-            if bridge:
-                stop |= fired[own]
-            hit = np.flatnonzero(stop.any(axis=1))
-            k = np.argmax(stop[hit], axis=1)  # the absorbing cell
-            a, b = s[own[hit], k], s[own[hit], k + 1]
-            f = (a > dt).astype(np.float64)  # share of it run before absorption
-            np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
-            if bridge:
-                np.minimum(f, 0.5, out=f, where=fired[own[hit], k])
-            tick = _cell_time(sv[:, :-1], sv[:, 1:], dt)
-            tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
-            tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
-            sv[hit, k], sv[hit, k + 1] = a, b  # its slope, for the closed form
-            start = clock[p]
-            np.cumsum(tick, axis=1, out=tick)
-            tick += start[:, None]  # the clock at each cell's right end
-            clock[p] = tick[:, -1]
-            due = np.searchsorted(t_at, clock[p], side="right")
-            for i in np.flatnonzero(due > done[p]):
-                n = np.arange(done[p[i]], due[i])
-                j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
-                spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
-                a0 = sv[i, j]
-                y = (sv[i, j + 1] - a0) / dt * spent
-                z_at[p[i], n] = a0 * np.exp(y)
-                c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
-            done[p] = due
-            after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
-            c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
-            done[p[hit]] = t_at.size
-        live = live[~crossed]
+        t_cross[paths] = np.minimum(t_cross[paths], t_new)
+        if t_at is None:
+            return
+        own = np.flatnonzero(done[paths] < t_at.size)  # rows still owing values
+        p, sv = paths[own], s[own]
+        np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
+        stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
+        stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
+        if bridge:
+            stop |= fired[own]
+        hit = np.flatnonzero(stop.any(axis=1))
+        k = np.argmax(stop[hit], axis=1)  # the absorbing cell
+        a, b = s[own[hit], k], s[own[hit], k + 1]
+        f = (a > dt).astype(np.float64)  # share of it run before absorption
+        np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
+        if bridge:
+            np.minimum(f, 0.5, out=f, where=fired[own[hit], k])
+        tick = _cell_time(sv[:, :-1], sv[:, 1:], dt)
+        tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
+        tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
+        sv[hit, k], sv[hit, k + 1] = a, b  # its slope, for the closed form
+        start = clock[p]
+        np.cumsum(tick, axis=1, out=tick)
+        tick += start[:, None]  # the clock at each cell's right end
+        clock[p] = tick[:, -1]
+        due = np.searchsorted(t_at, clock[p], side="right")
+        for i in np.flatnonzero(due > done[p]):
+            n = np.arange(done[p[i]], due[i])
+            j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
+            spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
+            a0 = sv[i, j]
+            y = (sv[i, j + 1] - a0) / dt * spent
+            z_at[p[i], n] = a0 * np.exp(y)
+            c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
+        done[p] = due
+        after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
+        c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
+        done[p[hit]] = t_at.size
+
+    live = np.arange(n_paths)
+    hi = 0
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        while hi < m and live.size:
+            lo, hi = hi, min(m, hi + max(1, _BLOCK // live.size))
+            shape = (live.size, hi - lo)
+            s = np.empty((live.size, hi - lo + 1))
+            s[:, 0] = walk_end[live]
+            s[:, 1:] = rng.standard_normal(shape)
+            u = helper.submit(rng.random, shape) if live.size > 1 else None
+            np.cumsum(s, axis=1, out=s)
+            walk_end[live] = s[:, -1]
+            s *= sq  # in place: x + X on the block's columns, left edge included
+            s += _drift(lam, np.arange(lo, hi + 1) * dt)
+            s += x
+            neg = s[:, 1:] <= 0.0
+            crossed = neg.any(axis=1)
+            block = (s, rng.random(shape) if u is None else u.result(), neg, crossed, live)
+            h = live.size // 2  # rows [0, h) here, [h, live.size) on the helper
+            if h:
+                upper = helper.submit(events, lo, *(v[h:] for v in block))
+                events(lo, *(v[:h] for v in block))
+                upper.result()
+            else:
+                events(lo, *block)
+            del block, s, u, neg  # the future holds u: free the block before the next
+            live = live[~crossed]
     truncated = np.isinf(t_cross)
     t_cross[truncated] = m * dt
     if t_at is None:

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -283,6 +286,167 @@ def test_lamperti_marginals_bytes_pinned():
 def test_hitting_ensemble_bytes_pinned():
     out = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 500, make_stream(32, 0, "pin"))
     assert _digest(*out) == "17e84691d6a387c9476f1022d60c3e467553c912a5962f60bfeb05c10b824ac5"
+
+
+class _RowRecorder:
+    """A stream that records the rows of each block of normals it gives."""
+
+    def __init__(self, rng):
+        self._rng, self.rows = rng, []
+
+    def standard_normal(self, size):
+        self.rows.append(size[0])
+        return self._rng.standard_normal(size)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+_SPLIT_PINS = {  # (stream seed, call, digest) at the live-row split's edge sizes
+    "lamperti-2": (31, lambda rng: lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 2, rng),
+                   "2fa00cee1eb8151b5a50b0e1be3aeb2810c81cc739e3466119e2ee870830a097"),
+    "lamperti-3": (31, lambda rng: lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 3, rng),
+                   "2fd24fec73bb6fc9aad0aaccff75ad8f1c883d13006435a235366a3534497aa9"),
+    "hitting-2": (32, lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 2, rng),
+                  "35877c683cf340b252574616b112e2f9296e2d470e08bf0e338f06f8955fa1f1"),
+    "hitting-3": (32, lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 3, rng),
+                  "0bcb34388a3a5305b668e7ea06beaf098f009aa17dabb286a7dc8b76826d6b4f"),
+    "no-bridge-clock-40": (
+        33, lambda rng: _first_passage(1.0, 0.5, 1e-3, 6000, 40, rng, bridge=False,
+                                       t_at=np.array([0.25, 1.0, 2.0])),
+        "f398be7f3dba21cb7a8cb6fd0f0a5a047c3ab7255cfb5eb5089757e3bb877136"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_PINS))
+def test_split_edge_sizes_bytes_pinned(case):
+    seed, call, digest = _SPLIT_PINS[case]
+    assert _digest(*call(make_stream(seed, 0, "pin"))) == digest
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("lamperti", "708a79b01c39e6fb6a01c8af4e8a94fb00bdea45a875aaacfbcffe6a31780867"),
+    ("hitting", "4c2f2b1bc799ac1849f441b85c0478b00d7160b5b11af4001f898db6dff0b666"),
+])
+def test_small_blocks_bytes_pinned(monkeypatch, case, digest):
+    # blocks of 97 cells hold one column while 97 or more paths live, and the
+    # live set shrinks through odd sizes down to a single row
+    monkeypatch.setattr(continuum, "_BLOCK", 97)
+    if case == "lamperti":
+        rng = _RowRecorder(make_stream(31, 0, "pin"))
+        out = lamperti_marginals(1.0, 0.0, 1e-2, 2.0, 301, rng)
+    else:
+        rng = _RowRecorder(make_stream(32, 0, "pin"))
+        out = hitting_ensemble(1.0, 0.0, 1e-2, 8.0, 301, rng)
+    assert _digest(*out) == digest
+    assert 1 in rng.rows and any(r % 2 for r in rng.rows if r > 1)
+
+
+class _Boom(Exception):
+    pass
+
+
+class _UniformThreads(_RowRecorder):
+    """A stream that records the thread drawing each block's uniforms, and
+    with ``fail`` raises there instead of drawing."""
+
+    def __init__(self, rng, fail):
+        super().__init__(rng)
+        self.fail, self.threads = fail, []
+
+    def random(self, size):
+        self.threads.append(threading.current_thread())
+        if self.fail:
+            raise _Boom("no uniforms")
+        return super().random(size)
+
+
+def _raised_in_time(call):
+    """The exception ``call`` raises, or None, from a thread given 60 s."""
+    caught = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:  # handed to the test that called
+            caught.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return caught[0] if caught else None
+
+
+_SPLIT_CALLS = {
+    "lamperti_marginals":
+        lambda rng: lamperti_marginals(1.0, 0.0, 1e-3, 1.0, 50, rng),
+    "hitting_ensemble": lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 4.0, 50, rng),
+}
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["drawn", "raising"])
+@pytest.mark.parametrize("entry", sorted(_SPLIT_CALLS))
+def test_the_helper_thread_ends_with_the_call(entry, fail):
+    # the uniforms come from one helper thread, which is gone when the call
+    # returns or raises; a draw that raises there reaches the caller
+    threads = threading.active_count()
+    rng = _UniformThreads(make_stream(34, 0, "t"), fail)
+    exc = _raised_in_time(lambda: _SPLIT_CALLS[entry](rng))
+    assert isinstance(exc, _Boom) if fail else exc is None
+    assert len(set(rng.threads)) == 1 and not rng.threads[0].is_alive()
+    assert threading.active_count() == threads
+
+
+def test_one_path_runs_on_the_calling_thread():
+    threads = threading.active_count()
+    for entry in (lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 4.0, 1, rng),
+                  lambda rng: lamperti_route(1.0, 0.0, 1e-3, 1.0, rng)):
+        rng = _UniformThreads(make_stream(34, 0, "t"), fail=False)
+        entry(rng)
+        assert set(rng.threads) == {threading.current_thread()}
+    assert threading.active_count() == threads
+
+
+def test_concurrent_calls_keep_their_bytes(monkeypatch):
+    # four calls at once, each with its own helper, over more threads than
+    # cores and a 1 us switch interval: a lost write to a path's entries
+    # would show as an output that differs from a lone call's
+    monkeypatch.setattr(continuum, "_BLOCK", 997)
+
+    def call():
+        return _digest(*lamperti_marginals(1.0, 0.0, 1e-2, 1.0, 101, make_stream(35, 0, "t")))
+
+    lone = call()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            calls = [pool.submit(call) for _ in range(4)]
+            digests = [c.result(timeout=120) for c in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == [lone] * 4
+
+
+def test_a_failing_half_on_the_helper_reaches_the_caller(monkeypatch):
+    # the helper's half of the clock raises; the caller's half does not
+    callers = []
+
+    def call():
+        callers.append(threading.current_thread())
+        lamperti_marginals(1.0, 0.0, 1e-3, 1.0, 50, make_stream(34, 0, "t"))
+
+    def cell_time(a, b, w):
+        if threading.current_thread() is not callers[0]:
+            raise _Boom("helper half")
+        return _cell_time(a, b, w)
+
+    monkeypatch.setattr(continuum, "_cell_time", cell_time)
+    threads = threading.active_count()
+    exc = _raised_in_time(call)
+    assert isinstance(exc, _Boom) and str(exc) == "helper half"
+    assert threading.active_count() == threads
 
 
 def test_lamperti_marginals_stores_no_x_grid():
