@@ -12,10 +12,15 @@ along the order, roots first.  From it we read off:
 ``breadth_first_walk`` is the classic all-components walk whose increments are
 (number of newly seen neighbors) - 1, restarting at a uniform unexplored
 vertex whenever the queue drains.  ``walk_chain`` samples the same walk, in
-law, from its (queue, seen) counts alone, without building the graph.
+law, from its (queue, seen) counts alone, without building the graph.  It
+draws a block of steps per numpy call and redraws the block from its saved
+stream state until the draws agree with the counts they imply, so it returns
+the same bytes, and leaves the stream in the same state, as one scalar draw
+per step; a test holds it to that scalar loop.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,9 @@ __all__ = [
 # Below this many vertex pairs we sample one uniform per pair instead of
 # geometric skipping; both are exact, the dense path just has less overhead.
 _DENSE_PAIR_LIMIT = 2048
+
+# Steps per block of `walk_chain`: one numpy binomial call per pass over it.
+_WALK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -246,10 +254,17 @@ def breadth_first_walk(
     Children of the i-th explored vertex are its previously unseen neighbors,
     enqueued in ascending id order; a fresh component opens at a uniform
     unexplored vertex whenever the queue drains.  ``max_steps`` truncates the
-    walk after that many explored vertices (default: all n).
+    walk after that many explored vertices (default: all n); it must be an
+    integer >= 0, checked before any draw.
     """
     n = graph.n
-    limit = n if max_steps is None else min(int(max_steps), n)
+    if max_steps is None:
+        limit = n
+    else:
+        max_steps = operator.index(max_steps)
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+        limit = min(max_steps, n)
     perm = rng.permutation(n)
     seen = np.zeros(n, dtype=bool)
     queue = np.empty(n, dtype=np.int64)
@@ -282,6 +297,19 @@ def breadth_first_walk(
     return WalkPath(X=X, components_opened=components)
 
 
+def _block_trials(children, n, drawn, x0, low):
+    """Trials n - seen of each step in a block of `walk_chain`, given its children.
+
+    ``drawn`` counts the children drawn before the block, ``x0`` is X at its
+    start and ``low`` the minimum of X before it.  A count below 0 can only
+    follow a wrong guess, which a later pass replaces, so it is clipped to 0.
+    """
+    before = np.cumsum(children) - children
+    x = x0 + before - np.arange(children.size)
+    opened = 1 - np.minimum(np.minimum.accumulate(x), low)
+    return np.maximum(n - drawn - before - opened, 0)
+
+
 def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
     """The walk of ``breadth_first_walk`` on G(n, p), sampled without a graph.
 
@@ -291,26 +319,47 @@ def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
     which one does not matter.  So the walk is a Markov chain in (queue,
     seen), equal in law to ``breadth_first_walk(sample_graph(n, p, ...), ...,
     max_steps=steps)``, at one binomial draw per step.  ``steps`` is capped
-    at n.
+    at n; ``n`` and ``steps`` must be integers, and a bad argument raises
+    before any draw.
+
+    The draws are made ``_WALK_BLOCK`` steps at a time.  The components
+    opened before step i are 1 - min(X[0..i-1]), and seen = the children
+    drawn before i plus those, so every step's trials n - seen follow from
+    the children before it.  A block guesses one child per step, takes the
+    trials that the guess implies, and draws all of them in one
+    ``rng.binomial`` call from the stream state saved at the block's start.
+    It then takes the trials that the drawn children imply, and draws again
+    from the saved state until the two agree.  The array call runs the
+    scalar call's sampler on each element in turn, on the same stream, and
+    trial i depends only on the children before i, so each pass fixes at
+    least one more leading step.  The accepted draws, and the state the
+    stream is left in, are therefore exactly those of one scalar draw per
+    step.
     """
+    n = operator.index(n)
+    steps = operator.index(steps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    limit = min(int(steps), n)
-    binomial = rng.binomial
-    X = [0] * (limit + 1)
-    x = queue = seen = components = 0
-    for i in range(1, limit + 1):
-        if queue == 0:
-            seen += 1
-            queue = 1
-            components += 1
-        children = binomial(n - seen, p)
-        seen += children
-        queue += children - 1
-        x += children - 1
-        X[i] = x
-    return WalkPath(X=np.array(X, dtype=np.int64), components_opened=components)
+    limit = min(steps, n)
+    bit_generator = rng.bit_generator
+    X = np.zeros(limit + 1, dtype=np.int64)
+    drawn = low = 0  # children drawn before the block; min of X before it
+    for lo in range(0, limit, _WALK_BLOCK):
+        hi = min(lo + _WALK_BLOCK, limit)
+        start = bit_generator.state
+        used = _block_trials(np.ones(hi - lo, dtype=np.int64), n, drawn, X[lo], low)
+        while True:
+            bit_generator.state = start
+            children = rng.binomial(used, p)
+            implied = _block_trials(children, n, drawn, X[lo], low)
+            if np.array_equal(implied, used):
+                break
+            used = implied
+        X[lo + 1 : hi + 1] = X[lo] + np.cumsum(children - 1)
+        drawn += int(children.sum())
+        low = min(low, int(X[lo:hi].min()))
+    return WalkPath(X=X, components_opened=1 - low if limit else 0)

@@ -14,7 +14,8 @@ Suite map (name -> what is checked, tolerances pinned here):
   selfsim       restart test for the SDE pair
   components    rescaled total infected exceeds the deterministic lower bound
   conjecture    (exploratory, never gates) rescaled all-components walk,
-                sampled graph-free by `walk_chain`, vs lam t - t**2/2
+                sampled graph-free by `walk_chain`, vs lam t - t**2/2, and
+                (reported) vs its first-order correction in eps
 
 Every suite is a function of its seed alone: its sizes and tolerances are
 literals in its body.  `run_suite` resolves the seed.
@@ -482,7 +483,9 @@ def suite_conjecture(seed: int) -> ComparisonReport:
     """Exploratory: mean rescaled walk vs lam t - t**2/2 on [0, 2].
 
     Reported, never gating: ``passed`` is always True.  ``components_opened``
-    in the details sums the walks' restarts over replicates.
+    in the details sums the walks' restarts over replicates, and
+    ``first_order_sup`` is the sup of the mean path against the first-order
+    curve lam t - t**2/2 - eps (lam t**2 - t**3/6).
     """
     n, lam, t_max, replicates = 10**6, 1.0, 2.0, 40
     window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
@@ -500,6 +503,8 @@ def suite_conjecture(seed: int) -> ComparisonReport:
     t = js * time_scale
     ref = lam * t - 0.5 * t * t
     sup = float(np.max(np.abs(mean_path - ref)))
+    # the step drift expanded to first order in epsilon
+    first_order = ref - window.epsilon * (lam * t * t - t**3 / 6.0)
     return ComparisonReport(
         test_name="drifting-window-walk-conjecture",
         statistic=sup,
@@ -513,6 +518,7 @@ def suite_conjecture(seed: int) -> ComparisonReport:
             "within_tolerance": sup <= 0.1,
             "epsilon": window.epsilon,
             "components_opened": components,
+            "first_order_sup": float(np.max(np.abs(mean_path - first_order))),
         },
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from critwin import (
+    GeneralWindow,
     breadth_first_walk,
     cousin_series,
+    edge_probability,
     explore,
     explore_from_roots,
     ks_statistic,
@@ -14,8 +17,14 @@ from critwin import (
     sample_graph,
     walk_chain,
 )
+from critwin import graph
 from critwin.graph import _pairs_from_linear, graph_from_edges
-from critwin.verify import exhaustive_profile_distribution, run_suite, total_variation
+from critwin.verify import (
+    DEFAULT_SEED,
+    exhaustive_profile_distribution,
+    run_suite,
+    total_variation,
+)
 
 
 def path_graph():
@@ -281,16 +290,28 @@ class _FixedPermutation:
 
 
 class _ScriptedBinomial:
-    """Stands in for the stream of `walk_chain`: returns the given child counts
-    and records how many unseen vertices each draw was over."""
+    """Stands in for the stream of `walk_chain`: answers an array of draws with
+    the next given child counts and records how many unseen vertices each draw
+    was over.  Its ``bit_generator.state`` is the number of draws made, and
+    setting it rewinds the script and the record to that draw."""
 
     def __init__(self, children):
-        self.children = iter(children)
+        self.children = list(children)
         self.trials = []
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return len(self.trials)
+
+    @state.setter
+    def state(self, position):
+        del self.trials[position:]
 
     def binomial(self, trials, p):
-        self.trials.append(trials)
-        return next(self.children)
+        start = len(self.trials)
+        self.trials.extend(np.asarray(trials).tolist())
+        return np.array(self.children[start : len(self.trials)], dtype=np.int64)
 
 
 def _graph_walk_law(n, p):
@@ -353,6 +374,109 @@ def test_walk_chain_steps_capped_at_n():
 def test_walk_chain_rejects_bad_arguments(n, p, steps):
     with pytest.raises(ValueError):
         walk_chain(n, p, steps, make_stream(1, 0, "w"))
+
+
+def _walk_chain_reference(n, p, steps, rng):
+    """`walk_chain` as one scalar binomial draw per step: the oracle for its
+    blocked draws, which must give the same walk and leave ``rng`` in the
+    same state."""
+    limit = min(steps, n)
+    X = [0] * (limit + 1)
+    x = queue = seen = components = 0
+    for i in range(1, limit + 1):
+        if queue == 0:
+            seen += 1
+            queue = 1
+            components += 1
+        children = rng.binomial(n - seen, p)
+        seen += children
+        queue += children - 1
+        x += children - 1
+        X[i] = x
+    return X, components
+
+
+def _assert_walk_chain_is_the_scalar_loop(n, p, steps, seed):
+    rng, ref_rng = make_stream(seed, 0, "w"), make_stream(seed, 0, "w")
+    walk = walk_chain(n, p, steps, rng)
+    X, components = _walk_chain_reference(n, p, steps, ref_rng)
+    assert walk.X.tolist() == X
+    assert walk.components_opened == components
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+    return walk
+
+
+@pytest.mark.parametrize("n,p,steps", [
+    (50, 0.0, 50),
+    (50, 1.0, 50),
+    (2000, 0.5, 2000),
+    (10**4, 1e-2, 10**4),
+    (10**5, 1e-5, 10**5),  # p = 1/n: about 25 blocks, restarts throughout
+    (10**5, 1e-5, 0),
+    (40, 0.05, 1000),  # steps > n
+    (10**5, 1e-5, 1000),  # below one block
+])
+def test_walk_chain_equals_the_scalar_loop(n, p, steps):
+    for seed in range(3):
+        _assert_walk_chain_is_the_scalar_loop(n, p, steps, seed)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("n,p", [(50, 0.0), (50, 1.0), (2000, 0.5), (3000, 1 / 3000)])
+def test_walk_chain_equals_the_scalar_loop_across_small_blocks(monkeypatch, block, n, p):
+    monkeypatch.setattr(graph, "_WALK_BLOCK", block)
+    for seed in range(3):
+        walk = _assert_walk_chain_is_the_scalar_loop(n, p, n, seed)
+        if p == 1 / 3000:
+            # restarts land inside blocks, so the running minimum crosses edges
+            assert walk.components_opened > 10
+
+
+# SHA-256 of X for replicates 0-2 of the conjecture suite's walks at its own
+# (n, p, max_index) and DEFAULT_SEED, taken from one scalar draw per step
+CONJECTURE_WALK_SHA256 = [
+    "1aa75b0999aa24293ae864eaa6c1a973d78cc1f2b4503a5e4e850f02f03c3dc5",
+    "c00512824922780586ca12f3c575a219b7db93e840b5677d081c6d5cb8b4256c",
+    "3010f33ae6871bda3d5e810221fc870eafbd9876c949b6b04aa91f002895e4dc",
+]
+
+
+def test_walk_chain_conjecture_walks_bytes_pinned():
+    n = 10**6
+    window = GeneralWindow(lam=1.0, epsilon=float(n) ** (-0.2))
+    p = edge_probability(window, n)
+    max_index = int(round(2.0 / window.scales("walk", n)[1]))
+    assert max_index == 126191
+    for r, digest in enumerate(CONJECTURE_WALK_SHA256):
+        walk = walk_chain(n, p, max_index, make_stream(DEFAULT_SEED, r, "walk"))
+        assert walk.X.dtype == np.int64
+        assert hashlib.sha256(walk.X.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,steps", [(10, 2.5), (10.5, 3), (10, 2.0)])
+def test_walk_chain_rejects_non_integer_counts(n, steps):
+    rng = make_stream(1, 0, "w")
+    before = repr(rng.bit_generator.state)
+    with pytest.raises(TypeError):
+        walk_chain(n, 0.3, steps, rng)
+    assert repr(rng.bit_generator.state) == before
+
+
+def test_walk_chain_takes_numpy_integers():
+    walk = walk_chain(np.int64(10), 0.3, np.int32(4), make_stream(1, 0, "w"))
+    assert walk.X.size == 5
+
+
+@pytest.mark.parametrize("max_steps,error", [
+    (-1, ValueError), (-5, ValueError), (2.5, TypeError),
+])
+def test_breadth_first_walk_rejects_bad_max_steps(max_steps, error):
+    g = sample_graph(10, 0.3, make_stream(1, 0, "g"))
+    rng = make_stream(1, 0, "w")
+    before = repr(rng.bit_generator.state)
+    with pytest.raises(error):
+        breadth_first_walk(g, rng, max_steps=max_steps)
+    assert repr(rng.bit_generator.state) == before
 
 
 def test_walk_chain_matches_graph_walk_at_scale():
