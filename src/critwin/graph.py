@@ -220,12 +220,19 @@ def explore_from_roots(graph: GraphSample, roots) -> Exploration:
 
 
 def _choose_roots(n: int, k: int, rng: RngStream) -> np.ndarray:
-    """Uniform k-subset, in draw order, via a partial Fisher-Yates shuffle."""
-    ids = np.arange(n, dtype=np.int64)
-    for t in range(k):
-        j = int(rng.integers(t, n))
-        ids[t], ids[j] = ids[j], ids[t]
-    return ids[:k].copy()
+    """Uniform k-subset, in draw order, via a partial Fisher-Yates shuffle.
+
+    The k picks j_t in [t, n) are drawn in one ``rng.integers(arange(k), n)``
+    call, which gives the same values, and leaves the stream in the same
+    state, as k scalar ``rng.integers(t, n)`` calls.  The swaps are kept on a
+    dict of the positions they touch, so the cost is O(k), not O(n).
+    """
+    moved: dict = {}  # position -> id swapped there; other positions hold their own id
+    roots = np.empty(k, dtype=np.int64)
+    for t, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+        roots[t] = moved.get(j, j)
+        moved[j] = moved.get(t, t)
+    return roots
 
 
 def explore(graph: GraphSample, k: int, rng: RngStream) -> Exploration:
@@ -304,10 +311,16 @@ def _block_trials(children, n, drawn, x0, low):
     start and ``low`` the minimum of X before it.  A count below 0 can only
     follow a wrong guess, which a later pass replaces, so it is clipped to 0.
     """
-    before = np.cumsum(children) - children
-    x = x0 + before - np.arange(children.size)
-    opened = 1 - np.minimum(np.minimum.accumulate(x), low)
-    return np.maximum(n - drawn - before - opened, 0)
+    before = np.cumsum(children)
+    before -= children
+    x = before - np.arange(children.size)
+    x += x0
+    # seen = drawn + before + (1 - min(X up to the step)), so trials = n - seen
+    np.minimum.accumulate(x, out=x)
+    np.minimum(x, low, out=x)
+    x -= before
+    x += n - drawn - 1
+    return np.maximum(x, 0, out=x)
 
 
 def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
@@ -351,7 +364,9 @@ def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
     for lo in range(0, limit, _WALK_BLOCK):
         hi = min(lo + _WALK_BLOCK, limit)
         start = bit_generator.state
-        used = _block_trials(np.ones(hi - lo, dtype=np.int64), n, drawn, X[lo], low)
+        # the trials of the all-ones guess, in closed form
+        used = n - drawn - 1 + min(int(X[lo]), low) - np.arange(hi - lo)
+        np.maximum(used, 0, out=used)
         while True:
             bit_generator.state = start
             children = rng.binomial(used, p)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 
 import numpy as np
@@ -88,16 +89,22 @@ def total_variation(dist_a: dict, dist_b: dict) -> float:
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
 
 
+# n = 7 would mean 2**21 graphs times up to 35 root sets.
+_ENUMERATION_N_LIMIT = 6
+
+
 @lru_cache(maxsize=None)
 def _profile_table(n: int, k: int):
     """Profile of every (edge set, root set) pair on n labeled vertices.
 
     Returns a list of (edge_count, profile) with one entry per pair; the
-    heights come from the production breadth-first exploration.
+    heights come from the production breadth-first exploration.  Equal
+    entries are one shared tuple, since the table is cached for the process.
     """
     pairs = list(itertools.combinations(range(n), 2))
     rootsets = list(itertools.combinations(range(n), k))
     table = []
+    seen: dict = {}
     for mask in range(1 << len(pairs)):
         chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         u = [e[0] for e in chosen]
@@ -108,12 +115,26 @@ def _profile_table(n: int, k: int):
             expl = explore_from_roots(g, np.asarray(roots, dtype=np.int64))
             series = cousin_series(expl)
             profile = tuple(int(z) for z in series.Z) + (0,)
-            table.append((edge_count, profile))
+            entry = (edge_count, profile)
+            table.append(seen.setdefault(entry, entry))
     return table
 
 
 def exhaustive_profile_distribution(n: int, k: int, p: float) -> dict:
-    """Exact profile law by enumerating all graphs and root subsets."""
+    """Exact profile law by enumerating all graphs and root subsets.
+
+    Needs 1 <= k <= n and 0 <= p <= 1 (ValueError), and n <= 6
+    (ConfigError), all checked before any enumeration.
+    """
+    if n > _ENUMERATION_N_LIMIT:
+        raise ConfigError(
+            f"graph enumeration is limited to n <= {_ENUMERATION_N_LIMIT} "
+            f"(got n={n}); use exact_profile_distribution instead"
+        )
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0,1], got {p}")
     m = n * (n - 1) // 2
     n_rootsets = math.comb(n, k)
     out: dict = {}
@@ -486,6 +507,12 @@ def suite_conjecture(seed: int) -> ComparisonReport:
     in the details sums the walks' restarts over replicates, and
     ``first_order_sup`` is the sup of the mean path against the first-order
     curve lam t - t**2/2 - eps (lam t**2 - t**3/6).
+
+    The walks run on two threads, in a pool that ends with the call.  Every
+    replicate's stream is made on the calling thread first, and each walk
+    hands back only its sampled points, so at most two full walks are held
+    at once.  The points are summed in replicate order, so the float sum is
+    the same as one thread's.
     """
     n, lam, t_max, replicates = 10**6, 1.0, 2.0, 40
     window = GeneralWindow(lam=lam, epsilon=float(n) ** (-0.2))
@@ -493,12 +520,18 @@ def suite_conjecture(seed: int) -> ComparisonReport:
     space, time_scale = window.scales("walk", n)
     max_index = int(round(t_max / time_scale))
     js = np.unique(np.round(np.linspace(0, max_index, 201)).astype(np.int64))
+
+    def walk(rng):
+        path = walk_chain(n, p, max_index, rng)
+        return path.X[js], path.components_opened
+
+    streams = [make_stream(seed, r, "walk") for r in range(replicates)]
     acc = np.zeros(js.size)
     components = 0
-    for r in range(replicates):
-        walk = walk_chain(n, p, max_index, make_stream(seed, r, "walk"))
-        acc += walk.X[js] * space
-        components += walk.components_opened
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for x, opened in pool.map(walk, streams):  # in replicate order
+            acc += x * space
+            components += opened
     mean_path = acc / replicates
     t = js * time_scale
     ref = lam * t - 0.5 * t * t

@@ -13,10 +13,12 @@ Each test also pins the suite's statistic at the default seed, bit for bit,
 so that any change to a suite's output fails here; a deliberate change
 records the new value in GOLDEN_STATISTIC.
 """
+import threading
 import time
 
 import pytest
 
+from critwin import verify
 from critwin.verify import run_suite
 
 _REPORTS = {}
@@ -201,4 +203,30 @@ def test_criterion_12_walk_conjecture_exploratory():
     # the same mean path against the first-order curve
     # lam t - t**2/2 - eps (lam t**2 - t**3/6)
     assert report.details["first_order_sup"] == 0.011988751397058461
+    assert report.details["components_opened"] == 27619
     assert elapsed < 6
+
+
+def test_conjecture_makes_its_streams_on_the_calling_thread(monkeypatch):
+    """The walks run on two threads, but every stream is made by the caller,
+    and no thread outlives the suite."""
+    made_on, walked_on = [], set()
+    make_stream, walk_chain = verify.make_stream, verify.walk_chain
+
+    def recording_make_stream(*args):
+        made_on.append(threading.get_ident())
+        return make_stream(*args)
+
+    def recording_walk_chain(*args):
+        walked_on.add(threading.current_thread())
+        return walk_chain(*args)
+
+    monkeypatch.setattr(verify, "make_stream", recording_make_stream)
+    monkeypatch.setattr(verify, "walk_chain", recording_walk_chain)
+    before = threading.active_count()
+    report = run_suite("conjecture")
+    assert not any(t.is_alive() for t in walked_on)
+    assert threading.active_count() == before
+    assert made_on == [threading.get_ident()] * report.N
+    assert 1 <= len(walked_on) <= 2 and threading.current_thread() not in walked_on
+    assert report.statistic == GOLDEN_STATISTIC["conjecture"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from critwin import (
+    ConfigError,
     GeneralWindow,
     breadth_first_walk,
     cousin_series,
@@ -21,6 +22,7 @@ from critwin import graph
 from critwin.graph import _pairs_from_linear, graph_from_edges
 from critwin.verify import (
     DEFAULT_SEED,
+    _profile_table,
     exhaustive_profile_distribution,
     run_suite,
     total_variation,
@@ -204,6 +206,31 @@ def test_explore_roots_uniform_without_replacement():
     # each vertex appears in the pair w.p. 1/3
     freq = counts / (2 * reps)
     assert np.all(np.abs(freq - 1 / 6) < 4 * np.sqrt((1 / 6) * (5 / 6) / (2 * reps)))
+
+
+def _choose_roots_reference(n, k, rng):
+    """`graph._choose_roots` as one scalar draw per root: the oracle for its
+    single array draw, which must give the same roots and leave ``rng`` in
+    the same state.  The swaps are kept on a dict so that huge n fits."""
+    ids = {}
+    roots = []
+    for t in range(k):
+        j = int(rng.integers(t, n))
+        ids[t], ids[j] = ids.get(j, j), ids.get(t, t)
+        roots.append(ids[t])
+    return roots
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 200, 10**6, 2**33])
+def test_choose_roots_equals_the_scalar_draws(n):
+    for k in sorted({1, min(n, 100)} | ({n} if n <= 200 else set())):
+        for seed in range(3):
+            rng, ref_rng = make_stream(seed, k, "roots"), make_stream(seed, k, "roots")
+            roots = graph._choose_roots(n, k, rng)
+            assert roots.dtype == np.int64
+            assert roots.tolist() == _choose_roots_reference(n, k, ref_rng)
+            assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+            assert len(set(roots.tolist())) == k
 
 
 def test_cousin_series_path_graph():
@@ -607,6 +634,23 @@ def test_profile_table_matches_direct_pipeline():
         # rebuild from scratch and compare
         expl2 = explore_from_roots(g, np.asarray(roots))
         assert np.array_equal(series.Z, cousin_series(expl2).Z)
+
+
+@pytest.mark.parametrize("n,k,p", [(3, 4, 0.5), (3, 0, 0.5), (3, 1, 1.5), (3, 1, -0.1)])
+def test_exhaustive_profile_distribution_rejects_bad_arguments(n, k, p):
+    with pytest.raises(ValueError):
+        exhaustive_profile_distribution(n, k, p)
+
+
+def test_exhaustive_profile_distribution_refuses_n_above_six():
+    with pytest.raises(ConfigError, match="exact_profile_distribution"):
+        exhaustive_profile_distribution(7, 1, 0.5)
+
+
+def test_profile_table_entries_are_shared():
+    table = _profile_table(4, 2)
+    distinct = set(table)
+    assert len({id(entry) for entry in table}) == len(distinct) < len(table)
 
 
 def test_total_variation_helper():
