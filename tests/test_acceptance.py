@@ -28,7 +28,7 @@ GOLDEN_STATISTIC = {
     "identities": 0.0,
     "moments": -0.08131868131233494,
     "zlimit": 0.034999999999999976,
-    "lamperti": 0.017199999999999993,
+    "lamperti": 0.014000000000000012,
     "cousin": 0.031075725987017633,
     "klimit": 0.017124560586773474,
     "deterministic": 1.283417816466681e-12,

@@ -20,7 +20,7 @@ from critwin import (
     simulate_sde,
 )
 from critwin import continuum, verify
-from critwin.continuum import _cell_time, _first_passage
+from critwin.continuum import _cell_time, _first_passage, _shard
 from critwin.verify import InsufficientSampleError, rk4_curve_max_error, run_suite
 
 
@@ -278,14 +278,14 @@ def _digest(*arrays):
 
 
 def test_lamperti_marginals_bytes_pinned():
-    # one `_first_passage` call over all 700 paths
+    # one `_first_passage` call over all 700 paths, in two shards of 350
     out = lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 700, make_stream(31, 0, "pin"))
-    assert _digest(*out) == "e78285b70f1e2ab509377fc45e8ddda4e10c58eb3c6ba983259b49fc04e14868"
+    assert _digest(*out) == "e34519a561f5990ba2db9d1aed321d3055325037a02d0229c902c274f3fe76d1"
 
 
 def test_hitting_ensemble_bytes_pinned():
     out = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 500, make_stream(32, 0, "pin"))
-    assert _digest(*out) == "17e84691d6a387c9476f1022d60c3e467553c912a5962f60bfeb05c10b824ac5"
+    assert _digest(*out) == "8a062cb1181e731dfaa010c2b8f65ef4198c69f560f78936458ae30a651c05b9"
 
 
 class _RowRecorder:
@@ -301,20 +301,24 @@ class _RowRecorder:
     def random(self, size):
         return self._rng.random(size)
 
+    @property
+    def bit_generator(self):  # the upper shard's stream is a jump of this one
+        return self._rng.bit_generator
 
-_SPLIT_PINS = {  # (stream seed, call, digest) at the live-row split's edge sizes
+
+_SPLIT_PINS = {  # (stream seed, call, digest) at the shard split's edge sizes
     "lamperti-2": (31, lambda rng: lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 2, rng),
-                   "2fa00cee1eb8151b5a50b0e1be3aeb2810c81cc739e3466119e2ee870830a097"),
+                   "b8ee8b0e9d17e47fc40e674330c680c523c82e02afb7265b61ce4f3e7bfebd16"),
     "lamperti-3": (31, lambda rng: lamperti_marginals(1.0, -1.0, 1e-3, 2.0, 3, rng),
-                   "2fd24fec73bb6fc9aad0aaccff75ad8f1c883d13006435a235366a3534497aa9"),
+                   "d856375fad8460acecead8561b8d22a9eb5a2fc5633be198a225124a110c7ab8"),
     "hitting-2": (32, lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 2, rng),
-                  "35877c683cf340b252574616b112e2f9296e2d470e08bf0e338f06f8955fa1f1"),
+                  "781d562a144f00466f0c5e7848a21472704f10450d45e06d0d9c2e52ec8146a1"),
     "hitting-3": (32, lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 3, rng),
-                  "0bcb34388a3a5305b668e7ea06beaf098f009aa17dabb286a7dc8b76826d6b4f"),
+                  "82d59e39cbff7e044f01210fee3d1d8e085abef80669c135ef603b3cae7260e8"),
     "no-bridge-clock-40": (
         33, lambda rng: _first_passage(1.0, 0.5, 1e-3, 6000, 40, rng, bridge=False,
                                        t_at=np.array([0.25, 1.0, 2.0])),
-        "f398be7f3dba21cb7a8cb6fd0f0a5a047c3ab7255cfb5eb5089757e3bb877136"),
+        "093a4e3e3262c4b7e5ab607bceef19161847b58a2705e9b41830d61ac3a6cc1f"),
 }
 
 
@@ -325,12 +329,13 @@ def test_split_edge_sizes_bytes_pinned(case):
 
 
 @pytest.mark.parametrize("case,digest", [
-    ("lamperti", "708a79b01c39e6fb6a01c8af4e8a94fb00bdea45a875aaacfbcffe6a31780867"),
-    ("hitting", "4c2f2b1bc799ac1849f441b85c0478b00d7160b5b11af4001f898db6dff0b666"),
-])
+    ("lamperti", "b00216143328692407d1d6e0fafa75ce62ed92ecc2cdf1e275339963185328fd"),
+    ("hitting", "72842ed0fb9b163e3cf9ab0f5917bfcfed256d8c600d7b2880a19bf4367034d3"),
+], ids=["lamperti", "hitting"])  # not the digests, so that a re-pin keeps the names
 def test_small_blocks_bytes_pinned(monkeypatch, case, digest):
-    # blocks of 97 cells hold one column while 97 or more paths live, and the
-    # live set shrinks through odd sizes down to a single row
+    # blocks of 97 cells hold one column while 97 or more of a shard's paths
+    # live, and the first shard's live set shrinks through odd sizes down to a
+    # single row
     monkeypatch.setattr(continuum, "_BLOCK", 97)
     if case == "lamperti":
         rng = _RowRecorder(make_stream(31, 0, "pin"))
@@ -347,17 +352,14 @@ class _Boom(Exception):
 
 
 class _UniformThreads(_RowRecorder):
-    """A stream that records the thread drawing each block's uniforms, and
-    with ``fail`` raises there instead of drawing."""
+    """A stream that records the thread drawing each block's uniforms."""
 
-    def __init__(self, rng, fail):
+    def __init__(self, rng):
         super().__init__(rng)
-        self.fail, self.threads = fail, []
+        self.threads = []
 
     def random(self, size):
         self.threads.append(threading.current_thread())
-        if self.fail:
-            raise _Boom("no uniforms")
         return super().random(size)
 
 
@@ -378,6 +380,25 @@ def _raised_in_time(call):
     return caught[0] if caught else None
 
 
+@pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "grid"])
+@pytest.mark.parametrize("t_at", [None, np.array([0.25, 1.0, 2.0])], ids=["hitting", "clock"])
+@pytest.mark.parametrize("n_paths", [2, 3, 40, 301])
+def test_the_shards_are_two_serial_runs_on_two_streams(n_paths, t_at, bridge):
+    # the layout, run here on one thread: the first ceil(N/2) paths are a
+    # shard on the caller's stream, the rest a shard on its jump, and the
+    # caller's stream ends where the first shard alone leaves it
+    args = (1.0, 0.5, 1e-2, 600)
+    rng, ref = make_stream(36, 0, "layout"), make_stream(36, 0, "layout")
+    out = _first_passage(*args, n_paths, rng, bridge=bridge, t_at=t_at)
+    upper = np.random.Generator(ref.bit_generator.jumped())
+    first = _shard(*args, n_paths - n_paths // 2, ref, bridge, t_at)
+    second = _shard(*args, n_paths // 2, upper, bridge, t_at)
+    assert len(out) == len(first) == (2 if t_at is None else 4)
+    for got, lower, higher in zip(out, first, second):
+        assert np.array_equal(got, np.concatenate([lower, higher]))
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
 _SPLIT_CALLS = {
     "lamperti_marginals":
         lambda rng: lamperti_marginals(1.0, 0.0, 1e-3, 1.0, 50, rng),
@@ -387,14 +408,28 @@ _SPLIT_CALLS = {
 
 @pytest.mark.parametrize("fail", [False, True], ids=["drawn", "raising"])
 @pytest.mark.parametrize("entry", sorted(_SPLIT_CALLS))
-def test_the_helper_thread_ends_with_the_call(entry, fail):
-    # the uniforms come from one helper thread, which is gone when the call
-    # returns or raises; a draw that raises there reaches the caller
+def test_the_helper_thread_ends_with_the_call(monkeypatch, entry, fail):
+    # the upper shard runs on one thread of the call's own, which is gone
+    # when the call returns or raises; an upper shard that raises reaches
+    # the caller
+    callers, shards = [], []
+
+    def shard(*args):
+        shards.append(threading.current_thread())
+        if fail and shards[-1] is not callers[0]:
+            raise _Boom("upper shard")
+        return _shard(*args)
+
+    def call():
+        callers.append(threading.current_thread())
+        _SPLIT_CALLS[entry](make_stream(34, 0, "t"))
+
+    monkeypatch.setattr(continuum, "_shard", shard)
     threads = threading.active_count()
-    rng = _UniformThreads(make_stream(34, 0, "t"), fail)
-    exc = _raised_in_time(lambda: _SPLIT_CALLS[entry](rng))
+    exc = _raised_in_time(call)
     assert isinstance(exc, _Boom) if fail else exc is None
-    assert len(set(rng.threads)) == 1 and not rng.threads[0].is_alive()
+    helpers = set(shards) - set(callers)
+    assert len(shards) == 2 and len(helpers) == 1 and not helpers.pop().is_alive()
     assert threading.active_count() == threads
 
 
@@ -402,15 +437,15 @@ def test_one_path_runs_on_the_calling_thread():
     threads = threading.active_count()
     for entry in (lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 4.0, 1, rng),
                   lambda rng: lamperti_route(1.0, 0.0, 1e-3, 1.0, rng)):
-        rng = _UniformThreads(make_stream(34, 0, "t"), fail=False)
+        rng = _UniformThreads(make_stream(34, 0, "t"))
         entry(rng)
         assert set(rng.threads) == {threading.current_thread()}
     assert threading.active_count() == threads
 
 
 def test_concurrent_calls_keep_their_bytes(monkeypatch):
-    # four calls at once, each with its own helper, over more threads than
-    # cores and a 1 us switch interval: a lost write to a path's entries
+    # four calls at once, each with its own shard thread, over more threads
+    # than cores and a 1 us switch interval: a lost write to a path's entries
     # would show as an output that differs from a lone call's
     monkeypatch.setattr(continuum, "_BLOCK", 997)
 
@@ -429,8 +464,8 @@ def test_concurrent_calls_keep_their_bytes(monkeypatch):
     assert digests == [lone] * 4
 
 
-def test_a_failing_half_on_the_helper_reaches_the_caller(monkeypatch):
-    # the helper's half of the clock raises; the caller's half does not
+def test_a_failing_clock_on_the_shard_thread_reaches_the_caller(monkeypatch):
+    # the upper shard's clock raises mid-call; the caller's shard does not
     callers = []
 
     def call():
@@ -439,13 +474,13 @@ def test_a_failing_half_on_the_helper_reaches_the_caller(monkeypatch):
 
     def cell_time(a, b, w):
         if threading.current_thread() is not callers[0]:
-            raise _Boom("helper half")
+            raise _Boom("upper shard")
         return _cell_time(a, b, w)
 
     monkeypatch.setattr(continuum, "_cell_time", cell_time)
     threads = threading.active_count()
     exc = _raised_in_time(call)
-    assert isinstance(exc, _Boom) and str(exc) == "helper half"
+    assert isinstance(exc, _Boom) and str(exc) == "upper shard"
     assert threading.active_count() == threads
 
 
