@@ -15,12 +15,11 @@ statistically by the verification suites:
   interpolant of the grid, cell by cell as the grid is drawn; a path is
   absorbed where the interpolant falls to dt or at a bridge crossing.
 
-`_first_passage` draws X a block at a time, finds the first passage of
-x + X to zero for the hitting times and runs the Lamperti clock, so no X
-grid is stored.  `sample_parabolic_bm` draws the same X directly, as one
-recorded path; a test holds the two equal on the same normals.  The paths
-of a `_first_passage` call form two fixed shards on two streams, the second
-on a thread of the call's own, which calls none of the functions that
+`_first_passage` draws X a block at a time, finds the first passage of x + X to
+zero for the hitting times and runs the Lamperti clock, so no X grid is stored.
+`sample_parabolic_bm` draws the same X directly, as one recorded path; a test
+holds the two equal on the same normals.  A `_first_passage` call runs its
+paths as two shards on two streams, one on a thread that calls nothing
 `perfbench/tracing.py` wraps, so that tracer's one-thread span stack holds.
 
 One crossing convention holds throughout: a crossing seen on the grid is
@@ -101,14 +100,12 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     `_shard` gives it, over two shards of the paths joined in path order.
 
     Paths [0, ceil(n_paths/2)) draw from ``rng``, the rest from
-    ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where
-    the first shard alone leaves it.  The shard count is fixed, so the bytes
-    do not depend on the cores.  Fewer than two paths are the first shard
-    alone, on the calling thread; otherwise the second shard runs on a
-    thread that ends with the call and hands its exception to the caller.
-    A caller's `np.errstate` does not reach that thread.
-
-    ``x`` must be > 0 (ValueError before any draw).
+    ``Generator(rng.bit_generator.jumped())``, whose end state ``rng`` then
+    takes, so later draws pass both shards'.  The shard count is fixed, so the
+    bytes do not depend on the cores.  Under two paths the first shard runs
+    alone, with no thread; else the second runs on a thread that ends with the
+    call and hands its exception to the caller.  A caller's `np.errstate` does
+    not reach that thread.  ``x`` must be > 0 (ValueError before any draw).
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
@@ -118,7 +115,9 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     with ThreadPoolExecutor(max_workers=1) as pool:
         second = pool.submit(_shard, x, lam, dt, m, n_paths // 2, upper, bridge, t_at)
         first = _shard(x, lam, dt, m, n_paths - n_paths // 2, rng, bridge, t_at)
-        return tuple(np.concatenate(pair) for pair in zip(first, second.result()))
+        out = tuple(np.concatenate(pair) for pair in zip(first, second.result()))
+    rng.bit_generator.state = upper.bit_generator.state
+    return out
 
 
 def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
@@ -232,6 +231,7 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
     s_end = walk_end * sq + _drift(lam, m * dt) + x  # x + X at the grid's end
     return (t_cross, truncated,
             np.where(short, s_end[:, None], z_at), np.where(short, m * dt, c_at))
+
 
 def sample_parabolic_bm(
     lam: float, x_offset: float, dt: float, t_max: float, rng: RngStream

@@ -386,7 +386,7 @@ def _raised_in_time(call):
 def test_the_shards_are_two_serial_runs_on_two_streams(n_paths, t_at, bridge):
     # the layout, run here on one thread: the first ceil(N/2) paths are a
     # shard on the caller's stream, the rest a shard on its jump, and the
-    # caller's stream ends where the first shard alone leaves it
+    # caller's stream ends where the second shard leaves the jump
     args = (1.0, 0.5, 1e-2, 600)
     rng, ref = make_stream(36, 0, "layout"), make_stream(36, 0, "layout")
     out = _first_passage(*args, n_paths, rng, bridge=bridge, t_at=t_at)
@@ -396,7 +396,7 @@ def test_the_shards_are_two_serial_runs_on_two_streams(n_paths, t_at, bridge):
     assert len(out) == len(first) == (2 if t_at is None else 4)
     for got, lower, higher in zip(out, first, second):
         assert np.array_equal(got, np.concatenate([lower, higher]))
-    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    assert repr(rng.bit_generator.state) == repr(upper.bit_generator.state)
 
 
 _SPLIT_CALLS = {
@@ -431,6 +431,43 @@ def test_the_helper_thread_ends_with_the_call(monkeypatch, entry, fail):
     helpers = set(shards) - set(callers)
     assert len(shards) == 2 and len(helpers) == 1 and not helpers.pop().is_alive()
     assert threading.active_count() == threads
+
+
+class _DrawRecorder(_RowRecorder):
+    """A stream that keeps every normal and uniform it gives, in ``drawn``."""
+
+    def __init__(self, rng, drawn):
+        super().__init__(rng)
+        self.drawn = drawn
+
+    def standard_normal(self, size):
+        self.drawn.append(super().standard_normal(size).ravel())
+        return self.drawn[-1].reshape(size)
+
+    def random(self, size):
+        self.drawn.append(super().random(size).ravel())
+        return self.drawn[-1].reshape(size)
+
+
+@pytest.mark.parametrize("entry", sorted(_SPLIT_CALLS))
+def test_successive_calls_on_one_stream_share_no_draws(monkeypatch, entry):
+    # each call's upper shard draws from a jump of the stream as the call
+    # finds it, so a stream left where its first shard ends would hand the
+    # next call's upper shard the tail of this call's upper draws; small
+    # blocks make the shards' draw counts differ, as path lifetimes do
+    monkeypatch.setattr(continuum, "_BLOCK", 997)
+    calls = []
+
+    def shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
+        return _shard(x, lam, dt, m, n_paths, _DrawRecorder(rng, calls[-1]), bridge, t_at)
+
+    monkeypatch.setattr(continuum, "_shard", shard)
+    rng = make_stream(37, 0, "t")
+    for _ in range(4):
+        calls.append([])
+        _SPLIT_CALLS[entry](rng)
+    drawn = np.concatenate([np.concatenate(c) for c in calls])
+    assert np.unique(drawn).size == drawn.size
 
 
 def test_one_path_runs_on_the_calling_thread():
