@@ -104,7 +104,9 @@ def exact_profile_distribution(n: int, k: int, p: float) -> dict:
     """Exact law of the profile path (Z(0), ..., 0) by forward enumeration.
 
     Paths are zero-terminated at absorption, which every path reaches within
-    n generations.  Masses sum to one up to float rounding.
+    n generations.  Masses sum to one up to float rounding.  Needs n <= 12
+    (ConfigError), 1 <= k <= n and 0 <= p <= 1 (ValueError), all checked
+    before any enumeration.
     """
     if n > _EXACT_N_LIMIT:
         raise ConfigError(
@@ -113,6 +115,8 @@ def exact_profile_distribution(n: int, k: int, p: float) -> dict:
         )
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0,1], got {p}")
 
     @lru_cache(maxsize=None)
     def pmf_row(m: int, z: int) -> tuple:

@@ -34,6 +34,7 @@ stream (or its jumped copy), which keeps them deterministic given (seed, label).
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -298,8 +299,12 @@ def sde_ensemble(
     ``z0``, ``lam``, ``c0`` broadcast across paths (per-path drift
     parameters are what the self-similarity restart needs).  Returns
     (z_final, c_final, absorbed_at) with absorbed_at = -1 for paths alive at
-    the horizon.
+    the horizon.  Needs 0 < dt < inf and an integer ``n_steps`` >= 0, checked
+    before any draw.
     """
+    n_steps = operator.index(n_steps)
+    if not (0.0 < dt < math.inf and n_steps >= 0):
+        raise ValueError(f"need 0 < dt < inf and n_steps >= 0, got dt={dt}, n_steps={n_steps}")
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     n = z0.size
     if not np.all(z0 > 0):

@@ -41,10 +41,6 @@ __all__ = [
     "walk_chain",
 ]
 
-# Below this many vertex pairs we sample one uniform per pair instead of
-# geometric skipping; both are exact, the dense path just has less overhead.
-_DENSE_PAIR_LIMIT = 2048
-
 # Steps per block of `walk_chain`: one numpy binomial call per pass over it.
 _WALK_BLOCK = 4096
 
@@ -160,8 +156,8 @@ def _pairs_from_linear(n: int, lin: np.ndarray):
 def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
     """Sample G(n, p): every unordered pair present independently with prob p.
 
-    Sparse graphs use geometric skipping over the pair enumeration (expected
-    O(n + edges) work); tiny graphs use one uniform per pair.  Both are exact.
+    The gaps between successive edges in the row-major pair enumeration are
+    Geometric(p) (Batagelj and Brandes 2005): exact, expected O(n + edges) work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -170,36 +166,29 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
     m = n * (n - 1) // 2
     if m == 0 or p == 0.0:
         return graph_from_edges(n, [], [])
-    if m <= _DENSE_PAIR_LIMIT:
-        lin = np.nonzero(rng.random(m) < p)[0]
-    else:
-        chunks = []
-        pos = -1
-        while True:
-            want = int((m - pos) * p * 1.2) + 64
-            gaps = rng.geometric(p, size=min(want, 8_000_000))
-            cand = pos + np.cumsum(gaps)
-            inside = cand < m
-            if inside.all():
-                chunks.append(cand)
-                pos = int(cand[-1])
-                continue
-            chunks.append(cand[: int(np.argmin(inside))])
-            break
-        lin = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    chunks, pos = [], -1  # pos: the last pair index drawn
+    while pos < m:
+        gaps = rng.geometric(p, size=min(int((m - pos) * p * 1.2) + 64, 8_000_000))
+        cand = pos + np.cumsum(gaps)
+        chunks.append(cand[: np.searchsorted(cand, m)])
+        pos = int(cand[-1])
+    lin = np.concatenate(chunks)
     u, v = _pairs_from_linear(n, lin)
     return graph_from_edges(n, u, v)
 
 
 def explore_from_roots(graph: GraphSample, roots) -> Exploration:
-    """Breadth-first exploration from the given (distinct) root vertices."""
+    """Breadth-first exploration from the given distinct root vertices in [0, n)."""
     roots = np.asarray(roots, dtype=np.int64)
     k = roots.size
-    if k < 1 or k > graph.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
-    if np.unique(roots).size != k:
-        raise ValueError("roots must be distinct")
     n = graph.n
+    if k < 1 or k > n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    distinct = np.unique(roots)
+    if distinct.size != k:
+        raise ValueError("roots must be distinct")
+    if distinct[0] < 0 or distinct[-1] >= n:
+        raise ValueError(f"roots must lie in [0, {n})")
     height = np.full(n, -1, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)
     height[roots] = 0

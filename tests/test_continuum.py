@@ -576,6 +576,16 @@ def test_nonpositive_x_is_rejected_before_any_draw(entry, x):
         entry(x, _NoDraws())
 
 
+@pytest.mark.parametrize("dt,n_steps,error", [
+    (math.nan, 10, ValueError), (0.0, 10, ValueError), (-1e-3, 10, ValueError),
+    (math.inf, 10, ValueError), (1e-3, -5, ValueError), (1e-3, 2.5, TypeError),
+])
+def test_sde_ensemble_rejects_bad_dt_and_steps_before_any_draw(dt, n_steps, error):
+    # unchecked, nan gives NaN paths and 0 or -5 return z0 untouched
+    with pytest.raises(error):
+        sde_ensemble(np.ones(3), 0.0, dt, n_steps, _NoDraws())
+
+
 def test_lamperti_marginals_rejects_a_grid_shorter_than_dt():
     # a grid_t_max below dt once gave an X grid of no steps: z = c = 0 for every path
     with pytest.raises(ValueError, match="need dt > 0 and t_max >= dt"):

@@ -8,9 +8,11 @@ import pytest
 from critwin import (
     ConfigError,
     GeneralWindow,
+    InvalidWindowError,
     breadth_first_walk,
     cousin_series,
     edge_probability,
+    exact_profile_distribution,
     explore,
     explore_from_roots,
     ks_statistic,
@@ -18,7 +20,7 @@ from critwin import (
     sample_graph,
     walk_chain,
 )
-from critwin import graph
+from critwin import graph, verify
 from critwin.graph import _pairs_from_linear, graph_from_edges
 from critwin.verify import (
     DEFAULT_SEED,
@@ -38,7 +40,7 @@ def test_sample_graph_p_zero_and_one():
     assert g0.edge_count == 0
     g1 = sample_graph(5, 1.0, make_stream(1, 0, "g"))
     assert g1.edge_count == 10
-    # m = 4950 pairs takes the geometric-skip path, whose gaps are all 1 at p = 1
+    # geometric skipping draws gaps of exactly 1 at p = 1, at every size
     g2 = sample_graph(100, 1.0, make_stream(1, 0, "g"))
     assert g2.edge_count == 4950
     assert all(g2.neighbors(v).tolist() == [w for w in range(100) if w != v] for v in range(100))
@@ -101,33 +103,25 @@ def test_graph_from_edges_rejects_endpoints_outside_the_vertices(u, v):
         graph_from_edges(3, u, v)
 
 
-class _FixedUniforms:
-    """Stands in for the stream of `sample_graph`'s dense branch: one uniform
-    per vertex pair, in row-major pair order."""
+class _FixedGaps:
+    """Stands in for `sample_graph`'s stream: every geometric gap is 1, so
+    each chunk lands on consecutive pairs and the loop must keep drawing."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
+    calls = 0
 
-    def random(self, size):
-        assert size == self.u.size
-        return self.u.copy()
+    def geometric(self, p, size):
+        self.calls += 1
+        return np.ones(size, dtype=np.int64)
 
 
-def test_sample_graph_edge_count_mean():
-    # Dense branch, n = 4, p = 1/2: a pair is an edge exactly when its uniform
-    # is below p.  Each of the 2**6 patterns has probability 2**-6, so the
-    # edge count over all of them is exactly Binomial(6, 1/2), mean 3.
-    pairs = list(itertools.combinations(range(4), 2))
-    below, at = np.nextafter(0.5, 0.0), 0.5
-    counts = []
-    for mask in range(1 << len(pairs)):
-        bits = [mask >> b & 1 for b in range(len(pairs))]
-        g = sample_graph(4, 0.5, _FixedUniforms([below if bit else at for bit in bits]))
-        edges = {(v, int(w)) for v in range(4) for w in g.neighbors(v) if v < w}
-        assert edges == {pair for pair, bit in zip(pairs, bits) if bit}
-        counts.append(g.edge_count)
-    assert [counts.count(e) for e in range(7)] == [math.comb(6, e) for e in range(7)]
-    assert sum(counts) / len(counts) == 3.0
+def test_sample_graph_draws_chunks_until_one_passes_the_last_pair():
+    # n = 300 has m = 44850 pairs; at p = 1e-3 each request is sized for the
+    # expected ~45 edges left, so all-one gaps need hundreds of chunks
+    rng = _FixedGaps()
+    g = sample_graph(300, 1e-3, rng)
+    assert rng.calls > 1
+    assert g.edge_count == 44_850
+    _assert_valid_adjacency(g)
 
 
 def _pair_offset(n, i):
@@ -155,10 +149,11 @@ def test_pairs_from_linear_exact_at_row_boundaries(n):
     assert list(zip(u.tolist(), v.tolist())) == want
 
 
-def test_sample_graph_sparse_path_edge_count_mean():
-    # n large enough to exercise geometric skipping; Binomial(m, p) mean
+@pytest.mark.parametrize("n,p", [(4, 0.5), (100, 0.02)])
+def test_sample_graph_edge_count_mean(n, p):
+    # the edge count is Binomial(m, p)
     rng = make_stream(12, 0, "edges")
-    n, p, reps = 100, 0.02, 20000
+    reps = 20000
     m = n * (n - 1) // 2
     counts = np.array([sample_graph(n, p, rng).edge_count for _ in range(reps)])
     se = np.sqrt(m * p * (1 - p) / reps)
@@ -192,6 +187,13 @@ def test_explore_rejects_duplicate_roots():
     g = sample_graph(4, 1.0, make_stream(1, 0, "g"))
     with pytest.raises(ValueError, match="distinct"):
         explore_from_roots(g, [2, 0, 2])
+
+
+@pytest.mark.parametrize("roots", [[-1], [2, -3], [4], [0, 7]])
+def test_explore_rejects_roots_outside_the_vertices(roots):
+    # unchecked, -1 would index from the end and 7 past it
+    with pytest.raises(ValueError, match=r"lie in \[0, 4\)"):
+        explore_from_roots(graph_from_edges(4, [0, 1], [1, 2]), roots)
 
 
 def test_explore_roots_uniform_without_replacement():
@@ -553,10 +555,21 @@ def test_multisource_heights_match_min_over_roots():
             assert (got == -1 and best == np.inf) or got == best
 
 
-@pytest.mark.parametrize("seed", [4, 6, 7])
-def test_identities_suite_skips_windows_with_p_out_of_range(seed):
+@pytest.mark.parametrize("seed", [2, 7, 8])
+def test_identities_suite_skips_windows_with_p_out_of_range(monkeypatch, seed):
     # these seeds draw n=2 with lam > 1.26 in the Aldous window (p > 1)
+    rejected = []
+
+    def counting(window, n):
+        try:
+            return edge_probability(window, n)
+        except InvalidWindowError:
+            rejected.append((window, n))
+            raise
+
+    monkeypatch.setattr(verify, "edge_probability", counting)
     report = run_suite("identities", seed=seed)
+    assert rejected
     assert report.passed and report.statistic == 0.0
 
 
@@ -638,8 +651,10 @@ def test_profile_table_matches_direct_pipeline():
 
 @pytest.mark.parametrize("n,k,p", [(3, 4, 0.5), (3, 0, 0.5), (3, 1, 1.5), (3, 1, -0.1)])
 def test_exhaustive_profile_distribution_rejects_bad_arguments(n, k, p):
-    with pytest.raises(ValueError):
-        exhaustive_profile_distribution(n, k, p)
+    # the chain's exact law takes the same arguments and the same checks
+    for law in (exhaustive_profile_distribution, exact_profile_distribution):
+        with pytest.raises(ValueError):
+            law(n, k, p)
 
 
 def test_exhaustive_profile_distribution_refuses_n_above_six():
