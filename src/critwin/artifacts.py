@@ -72,10 +72,9 @@ def write_hitting_csv(path, times, truncated) -> str:
     )
 
 
-def write_deterministic_csv(path, t_grid, limit) -> str:
+def write_deterministic_csv(path, t, f, c, z, K) -> str:
     """Deterministic curves on a grid: `t,f,c,z,K`."""
-    curves = ([float(g(t)) for t in t_grid] for g in (limit.f, limit.c, limit.z, limit.k_limit))
-    return _write_columns(path, "t,f,c,z,K", "%.17g,%.17g,%.17g,%.17g,%.17g", t_grid, *curves)
+    return _write_columns(path, "t,f,c,z,K", "%.17g,%.17g,%.17g,%.17g,%.17g", t, f, c, z, K)
 
 
 def write_sweep_csv(path, sweep) -> str:

@@ -21,6 +21,7 @@ from . import artifacts
 from .chain import simulate_trace
 from .continuum import (
     DeterministicLimit,
+    _default_grid_span,
     _grid_steps,
     hitting_ensemble,
     lamperti_route,
@@ -218,6 +219,8 @@ def cmd_continuum(args) -> int:
     steps = _grid_steps(dt, t_max)
     if x <= 0:
         raise ConfigError(f"--x must be > 0, got {x}")
+    if args.kind == "lamperti":  # the route's own X grid spans _default_grid_span
+        _grid_steps(dt, _default_grid_span(x, lam))
     command = f"continuum-{args.kind}"
     params = {"kind": args.kind, "x": x, "lambda": lam, "dt": dt, "t_max": t_max}
     if args.kind == "deterministic":
@@ -227,25 +230,23 @@ def cmd_continuum(args) -> int:
                 "--kind deterministic draws one curve: it takes no --seed, and no "
                 "--replicates or --threads other than 1"
             )
-        limit = DeterministicLimit(x=x, lam=lam)
-        if not abs(lam) < limit.s < math.inf:  # c(t) takes atanh(-lam / s)
+        lim = DeterministicLimit(x=x, lam=lam)
+        if not abs(lam) < lim.s < math.inf:  # c(t) takes atanh(-lam / s)
             raise ConfigError(
                 f"sqrt(2x + lambda**2) must be finite and above |lambda|, got x = {x}, "
                 f"lambda = {lam}: the curve c(t) is undefined"
             )
-        # every term of f, c, z and K is largest in size at the grid's end
-        end = steps * dt
+        t_grid = np.arange(steps + 1) * dt
         with np.errstate(over="ignore", invalid="ignore"):
-            ends = [g(end) for g in (limit.f, limit.c, limit.z, limit.k_limit)]
-        if not np.isfinite(ends).all():
+            curves = [[float(g(t)) for t in t_grid] for g in (lim.f, lim.c, lim.z, lim.k_limit)]
+        if not np.isfinite(curves).all():
             raise ConfigError(
-                f"the curves overflow on the grid up to t = {end}: x = {x}, lambda = {lam}"
+                f"the curves overflow on the grid up to t = {t_grid[-1]}: x = {x}, lambda = {lam}"
             )
 
         def curve(r: int):
-            t_grid = np.arange(steps + 1) * dt
             return _write(args.out, "deterministic.csv", artifacts.write_deterministic_csv,
-                          t_grid, limit)
+                          t_grid, *curves)
 
         return _run(args, command, params, curve)
     seed = _checked_seed(_seed(args.seed))

@@ -68,9 +68,10 @@ def _drift(lam: float, t: np.ndarray) -> np.ndarray:
 
 
 def _grid_steps(dt: float, t_max: float) -> int:
-    """Steps of the grid 0, dt, ..., ~t_max; ValueError unless dt > 0 and t_max >= dt."""
-    if not (dt > 0 and t_max >= dt):
-        raise ValueError(f"need dt > 0 and t_max >= dt, got dt={dt}, t_max={t_max}")
+    """Steps of the grid 0, dt, ..., ~t_max; ValueError unless that is a finite count >= 1."""
+    if not (dt > 0 and t_max >= dt and math.isfinite(t_max / dt)):
+        raise ValueError(f"need dt > 0 and t_max >= dt, with t_max / dt finite, "
+                         f"got dt={dt}, t_max={t_max}")
     return int(round(t_max / dt))
 
 

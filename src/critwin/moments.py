@@ -10,8 +10,8 @@ fourth moment about z.  The last is assembled from binomial central moments,
     kappa0 = (mu - z)**4.
 
 `bound_sweep` measures, per n, the sup over a lattice of at most 64 x 64
-points covering the box {0 <= z <= n**(1/3) r, 0 <= c <= n**(2/3) T r}
-(r = T = 1) of the drift/variance deviations
+points covering the box {0 <= z <= n**(1/3), 0 <= c <= n**(2/3)} of the
+drift/variance deviations
 |mu - z - n**(-1/3) z (lam - n**(-2/3) c)| and of |kappa|, then fits the
 log-log decay slope across n.  The sup is over the grid only; the grid
 always contains the box corners.
@@ -32,8 +32,6 @@ SWEEP_QUANTITIES = ("mu_dev", "sigma2_dev", "kappa_abs")
 
 _N_LIST = (10**3, 10**4, 10**5, 10**6)  # populations, four decades
 _LAM = 1.0  # Aldous-window lambda
-_R = 1.0  # box size in units of n**(1/3) infectives
-_T = 1.0  # box duration in units of n**(1/3) generations
 _GRID_POINTS = 64  # lattice points per axis, before rounding merges any
 
 
@@ -82,8 +80,8 @@ def bound_sweep() -> BoundSweep:
     for n in _N_LIST:
         p = edge_probability(window, n)
         cbrt_n = float(np.cbrt(float(n)))
-        zs = _grid(int(cbrt_n * _R))
-        cs = _grid(min(int(cbrt_n**2 * _T * _R), n))
+        zs = _grid(int(cbrt_n))
+        cs = _grid(min(int(cbrt_n**2), n))
         zg, cg = np.meshgrid(zs, cs, indexing="ij")
         mu, sigma2, kappa = _moment_arrays(n, zg, cg, p)
         ref = zg + zg * (window.lam - cg / cbrt_n**2) / cbrt_n

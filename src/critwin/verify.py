@@ -367,7 +367,7 @@ _RK4_BLOCK = 4096  # steps whose closed form and error are taken at once
 
 
 def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float:
-    """Max |closed-form c - RK4 of c' = f(c)| over the grid, across cases.
+    """Max |`DeterministicLimit.c` - RK4 of c' = f(c)| over the grid, across cases.
 
     Each step works in preallocated buffers, operation for operation as the
     classical formulas in the comments, so it rounds as they do; the closed
@@ -375,8 +375,7 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
     """
     x = np.asarray(xs, dtype=np.float64)
     lam = np.asarray(lams, dtype=np.float64)
-    s = np.sqrt(2.0 * x + lam * lam)
-    phase0 = np.arctanh(-lam / s)
+    limits = [DeterministicLimit(a, b) for a, b in zip(x.tolist(), lam.tolist())]
     k1, k2, k3, k4, arg, tmp = (np.empty_like(x) for _ in range(6))
 
     def f(cv, out):  # x + lam * cv - 0.5 * cv * cv
@@ -407,7 +406,7 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
             arg *= h / 6.0
             np.add(cv, arg, out=c[r + 1])
         t = np.arange(first, first + n) * h
-        closed = lam + s * np.tanh(np.multiply.outer(t, 0.5 * s) + phase0)
+        closed = np.column_stack([lim.c(t) for lim in limits])
         np.maximum(maxerr, np.abs(c[1 : n + 1] - closed).max(axis=0), out=maxerr)
         c[0] = c[n]
     return float(maxerr.max())

@@ -63,6 +63,16 @@ def test_hitting_csv_rows_are_the_formatted_values(tmp_path):
     assert digest == _sha256(tmp_path / "h.csv")
 
 
+def test_deterministic_csv_rows_are_the_formatted_floats(tmp_path):
+    # the CLI hands each curve over as a list of Python floats
+    t, f, c, z, K = (np.roll(REALS, shift) for shift in range(5))
+    digest = artifacts.write_deterministic_csv(tmp_path / "d.csv", t, f.tolist(), c, z, K)
+    assert _lines(tmp_path / "d.csv") == [
+        "t,f,c,z,K", *(",".join(map(_fmt, row)) for row in zip(t, f, c, z, K)), ""
+    ]
+    assert digest == _sha256(tmp_path / "d.csv")
+
+
 def test_empty_csv_is_the_header_alone(tmp_path):
     digest = artifacts.write_walk_csv(tmp_path / "w.csv", np.array([], dtype=np.int64))
     assert _lines(tmp_path / "w.csv") == ["i,X", ""]

@@ -467,6 +467,17 @@ BAD_INPUT = {
     "continuum-x-inf": ((*_SDE, "--x", "inf"), {}),
     "continuum-lambda-nan": ((*_SDE, "--lambda", "nan"), {}),
     "hitting-t-max-inf": (("continuum", "--kind", "hitting", "--t-max", "inf"), {}),
+    # t_max / dt overflows: the grid would have infinitely many steps
+    "continuum-grid-overflow": ((*_SDE, "--dt", "1e-300", "--t-max", "1e300"), {}),
+    "deterministic-grid-overflow": (
+        ("continuum", "--kind", "deterministic", "--dt", "1e-300", "--t-max", "1e300"), {}
+    ),
+    # lambda**2 overflows, so the Lamperti route's X grid spans 3 t0 + 8 = inf
+    "lamperti-lambda-huge": (("continuum", "--kind", "lamperti", "--lambda", "1e155"), {}),
+    # the route's X grid spans 3 t0 + 8 < dt
+    "lamperti-span-below-dt": (
+        ("continuum", "--kind", "lamperti", "--dt", "100", "--t-max", "200"), {}
+    ),
     "chain-epsilon-overflow": (
         ("simulate-chain", "--n", "100", "--x", "1", "--epsilon", "1e200"), {}
     ),

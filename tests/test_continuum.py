@@ -710,6 +710,16 @@ def test_rk4_agreement_small():
     assert rk4_curve_max_error(xs, lams, t_max=5.0, h=1e-3) <= 1e-8
 
 
+def test_rk4_oracle_grades_the_library_curve(monkeypatch):
+    # a defect of 1e-7 in DeterministicLimit.c must show in the oracle's error
+    rng = np.random.default_rng(18)
+    xs = rng.uniform(0.1, 5.0, size=10)
+    lams = rng.uniform(-3.0, 3.0, size=10)
+    c = DeterministicLimit.c
+    monkeypatch.setattr(DeterministicLimit, "c", lambda self, t: c(self, t) + 1e-7)
+    assert rk4_curve_max_error(xs, lams, t_max=5.0, h=1e-3) > 1e-8
+
+
 def test_self_similarity_insufficient_sample(monkeypatch):
     def absorb_all(z0, lam, dt, n_steps, rng, c0=0.0):
         n = np.size(z0)
