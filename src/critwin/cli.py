@@ -219,8 +219,17 @@ def cmd_continuum(args) -> int:
     steps = _grid_steps(dt, t_max)
     if x <= 0:
         raise ConfigError(f"--x must be > 0, got {x}")
-    if args.kind == "lamperti":  # the route's own X grid spans _default_grid_span
-        _grid_steps(dt, _default_grid_span(x, lam))
+    if args.kind == "lamperti":  # the route's own X grid spans 3 t0 + 8, not t_max
+        span = _default_grid_span(x, lam)
+        if not math.isfinite(span / dt):
+            raise ConfigError(
+                f"--x {x} and --lambda {lam} give the Lamperti X grid the span "
+                f"3 t0 + 8 = {span}, which has no finite step count at --dt {dt}"
+            )
+        if span < dt:
+            raise ConfigError(
+                f"--dt must be at most the Lamperti X grid's span 3 t0 + 8 = {span}, got {dt}"
+            )
     command = f"continuum-{args.kind}"
     params = {"kind": args.kind, "x": x, "lambda": lam, "dt": dt, "t_max": t_max}
     if args.kind == "deterministic":

@@ -112,44 +112,66 @@ def graph_from_edges(n: int, u, v) -> GraphSample:
 
     Every endpoint must lie in [0, n) (ValueError otherwise).  Each entry is
     sorted as the int64 key src * n + dst, so n may be at most about 3.0e9,
-    the same regime as `_pairs_from_linear`.
+    the same regime as `_pairs_from_linear`.  Int64 ``u`` and ``v`` are not
+    copied, and beyond the returned CSR the only working memory is one n-length
+    endpoint count at a time, added into ``indptr``; the sorted key then becomes
+    ``indices`` in place.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
         raise ValueError(f"edge endpoints must lie in [0, {n})")
-    key = np.concatenate([u * n + v, v * n + u])
-    key.sort()
-    indices = key % n
-    key //= n  # the source of each entry
-    counts = np.bincount(key, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr[1:] = np.bincount(u, minlength=n)
+    indptr[1:] += np.bincount(v, minlength=n)
+    np.cumsum(indptr, out=indptr)
+    e = u.size
+    indices = np.empty(2 * e, dtype=np.int64)  # first the key src * n + dst
+    np.multiply(u, n, out=indices[:e])
+    indices[:e] += v
+    np.multiply(v, n, out=indices[e:])
+    indices[e:] += u
+    indices.sort()
+    np.remainder(indices, n, out=indices)
     return GraphSample(n=n, indptr=indptr, indices=indices)
 
 
 def _pairs_from_linear(n: int, lin: np.ndarray):
     """Invert the row-major upper-triangle enumeration of vertex pairs.
 
-    Every entry of ``lin`` must lie in [0, n(n-1)/2).
+    Every entry of ``lin`` must lie in [0, n(n-1)/2).  An int64 ``lin`` is not
+    copied; the working memory is one float and two int64 arrays of its
+    length, and the last two are the returned rows i and columns j.
     """
-    lin = lin.astype(np.int64)
+    lin = np.asarray(lin, dtype=np.int64)
     twon = 2.0 * n - 1.0
-    disc = twon * twon - 8.0 * lin.astype(np.float64)
-    i = ((twon - np.sqrt(disc)) * 0.5).astype(np.int64)
+    disc = lin.astype(np.float64)
+    disc *= 8.0
+    np.subtract(twon * twon, disc, out=disc)
+    np.sqrt(disc, out=disc)
+    np.subtract(twon, disc, out=disc)
+    disc *= 0.5
+    i = disc.astype(np.int64)
+    del disc
     np.clip(i, 0, n - 2, out=i)
-    off = i * n - (i * (i + 1)) // 2
+    # Row i starts at off = i * n - i(i+1)/2 = i(2n-1-i)/2 and holds the
+    # columns j = lin - off + i + 1 in (i, n).
+    j = np.subtract(2 * n - 1, i)
+    j *= i
+    j //= 2
+    np.subtract(lin, j, out=j)
+    j += i
+    j += 1
     # Float rounding of the discriminant puts i off by up to about n / 2**25
-    # rows near the last row.  Row i holds lin in [off, off + n - 1 - i);
-    # nudge each entry outside its row by one row until none is left.
-    wrong = np.flatnonzero((off > lin) | (off + (n - 1 - i) <= lin))
+    # rows near the last row; nudge each entry whose column falls outside
+    # (i, n) by one row until none is left.
+    wrong = np.flatnonzero((j <= i) | (j >= n))
     while wrong.size:
-        iw, lw = i[wrong], lin[wrong]
-        iw += np.where(off[wrong] > lw, -1, 1)
-        ow = iw * n - (iw * (iw + 1)) // 2
-        i[wrong], off[wrong] = iw, ow
-        wrong = wrong[(ow > lw) | (ow + (n - 1 - iw) <= lw)]
-    j = lin - off + i + 1
+        iw, jw = i[wrong], j[wrong]
+        iw += np.where(jw <= iw, -1, 1)
+        jw = lin[wrong] - (iw * (2 * n - 1 - iw)) // 2 + iw + 1
+        i[wrong], j[wrong] = iw, jw
+        wrong = wrong[(jw <= iw) | (jw >= n)]
     return i, j
 
 
@@ -158,6 +180,9 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
 
     The gaps between successive edges in the row-major pair enumeration are
     Geometric(p) (Batagelj and Brandes 2005): exact, expected O(n + edges) work.
+    Each chunk of gaps is summed in place and the chunks are freed before the
+    pair inversion, so the peak working memory is at most about twice the
+    returned CSR.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -168,12 +193,15 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
         return graph_from_edges(n, [], [])
     chunks, pos = [], -1  # pos: the last pair index drawn
     while pos < m:
-        gaps = rng.geometric(p, size=min(int((m - pos) * p * 1.2) + 64, 8_000_000))
-        cand = pos + np.cumsum(gaps)
+        cand = rng.geometric(p, size=min(int((m - pos) * p * 1.2) + 64, 8_000_000))
+        np.cumsum(cand, out=cand)
+        cand += pos
         chunks.append(cand[: np.searchsorted(cand, m)])
         pos = int(cand[-1])
     lin = np.concatenate(chunks)
+    del chunks, cand
     u, v = _pairs_from_linear(n, lin)
+    del lin
     return graph_from_edges(n, u, v)
 
 

@@ -518,6 +518,11 @@ BAD_INPUT = {
     "verify-seed-flag": (("verify", "--suite", "moments", "--seed", "-5"), {}),
     "verify-unknown-suite": (("verify", "--suite", "bogus"), {}),
 }
+# What the one error line must name, where the failing value is not itself a flag
+BAD_INPUT_NAMES = {
+    "lamperti-lambda-huge": ("--x", "--lambda", "3 t0 + 8"),
+    "lamperti-span-below-dt": ("--dt", "3 t0 + 8"),
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -530,6 +535,7 @@ def test_bad_input_exits_one_before_out_exists(tmp_path, capsys, monkeypatch, ca
     assert code == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert all(word in err for word in BAD_INPUT_NAMES.get(case, ()))
     assert not out.exists()
 
 

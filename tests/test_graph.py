@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,35 @@ def test_pairs_from_linear_exact_at_row_boundaries(n):
             want.append(pair)
     u, v = _pairs_from_linear(n, np.asarray(lin, dtype=np.int64))
     assert list(zip(u.tolist(), v.tolist())) == want
+
+
+# (n, p, seed) -> SHA-256 of indptr and indices, then the stream's next random(),
+# at sizes beyond the simulate goldens' n = 20 000
+CSR_PINS = [
+    (10**6, 1e-6, 1,
+     "1686decd32f204c49e3f7b01a10fa5ec039369b7795ebce8440643dd02d4b180", 0.17450505850433895),
+    (200_000, (1 + 200_000**-0.2) / 200_000, 2,
+     "19e8eeb193ef48e627fcbf4c01b2cb5ad3147f51c073a8afb20de58c1be43d2b", 0.2317082765348819),
+]
+
+
+@pytest.mark.parametrize("n,p,seed,digest,after", CSR_PINS)
+def test_sample_graph_csr_bytes_pinned(n, p, seed, digest, after):
+    rng = make_stream(seed, 0, "graph")
+    g = sample_graph(n, p, rng)
+    assert hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest() == digest
+    assert rng.random() == after
+
+
+def test_sample_graph_peak_memory_is_about_twice_its_csr():
+    n = 200_000
+    tracemalloc.start()
+    try:
+        g = sample_graph(n, 1 / n, make_stream(1, 0, "graph"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * (g.indptr.nbytes + g.indices.nbytes)
 
 
 @pytest.mark.parametrize("n,p", [(4, 0.5), (100, 0.02)])
