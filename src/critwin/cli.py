@@ -221,15 +221,13 @@ def cmd_continuum(args) -> int:
         raise ConfigError(f"--x must be > 0, got {x}")
     if args.kind == "lamperti":  # the route's own X grid spans 3 t0 + 8, not t_max
         span = _default_grid_span(x, lam)
-        if not math.isfinite(span / dt):
+        try:
+            _grid_steps(dt, span)
+        except ValueError as exc:
             raise ConfigError(
-                f"--x {x} and --lambda {lam} give the Lamperti X grid the span "
-                f"3 t0 + 8 = {span}, which has no finite step count at --dt {dt}"
-            )
-        if span < dt:
-            raise ConfigError(
-                f"--dt must be at most the Lamperti X grid's span 3 t0 + 8 = {span}, got {dt}"
-            )
+                f"--x {x}, --lambda {lam} and --dt {dt} give the Lamperti X grid span "
+                f"3 t0 + 8 = {span}, which needs a finite step count >= 1"
+            ) from exc
     command = f"continuum-{args.kind}"
     params = {"kind": args.kind, "x": x, "lambda": lam, "dt": dt, "t_max": t_max}
     if args.kind == "deterministic":

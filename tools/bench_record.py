@@ -1,9 +1,9 @@
 """Record perfbench runs of one or more checkouts as BENCH_<short-sha>.json.
 
-    python3 tools/bench_record.py PARENT_CHECKOUT CHANGE_CHECKOUT --seeds 1-10
+    python3 tools/bench_record.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
 Each checkout must be a git clone whose HEAD is the commit to measure.  For
-every seed and every workload in BENCHMARK.json, ``perfbench/run.py`` runs
+every seed 1-10 and every workload in BENCHMARK.json, ``perfbench/run.py`` runs
 unchanged, once per checkout, in a fresh process; the checkout that goes first
 alternates from seed to seed, so neither side always runs on a warmer box.
 Each run's two output lines (detail and result) are kept.  One record per
@@ -19,10 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-
-def _seeds(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = list(range(1, 11))
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -54,15 +51,11 @@ def _summary(runs: list, workloads: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", type=Path)
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"),
-                        help="an inclusive range such as 1-10")
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("an interquartile range needs at least two seeds")
     declared = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in declared["workloads"]]
     runs = {c: [] for c in args.checkouts}
-    for k, seed in enumerate(args.seeds):
+    for k, seed in enumerate(SEEDS):
         shift = k % len(args.checkouts)
         order = args.checkouts[shift:] + args.checkouts[:shift]
         for workload in workloads:
@@ -71,7 +64,7 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {workload} {checkout}", file=sys.stderr)
     for checkout, done in runs.items():
         sha = done[0]["detail"]["metadata"]["git_sha"]
-        record = {"git_sha": sha, "seeds": args.seeds,
+        record = {"git_sha": sha, "seeds": SEEDS,
                   "command": "python3 perfbench/run.py --workload W --seed S "
                              f"--seconds {declared['run_seconds']}",
                   "summary": _summary(done, workloads), "runs": done}
