@@ -53,9 +53,6 @@ class GraphSample:
     indptr: np.ndarray
     indices: np.ndarray
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     @property
     def edge_count(self) -> int:
         return int(self.indices.size) // 2
@@ -67,12 +64,13 @@ class Exploration:
 
     ``order`` lists the A explored vertices, roots first (in root order), then
     by non-decreasing height with ties broken by ascending vertex id within
-    each parent's neighbor scan.  ``height[v]`` is -1 for unexplored v.
+    each parent's neighbor scan.  ``heights[j]`` is the height of ``order[j]``;
+    a vertex absent from ``order`` was not reached.
     """
 
     roots: np.ndarray
     order: np.ndarray
-    height: np.ndarray
+    heights: np.ndarray
 
     @property
     def a_total(self) -> int:
@@ -206,34 +204,32 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
 
 
 def explore_from_roots(graph: GraphSample, roots) -> Exploration:
-    """Breadth-first exploration from the given distinct root vertices in [0, n)."""
-    roots = np.asarray(roots, dtype=np.int64)
+    """Breadth-first exploration from distinct roots in [0, n), read flattened.
+
+    One insertion-ordered dict, vertex -> height, is the visited set and the
+    order, so the working memory is O(explored vertices), not O(n).
+    """
+    roots = np.asarray(roots, dtype=np.int64).ravel()
     k = roots.size
     n = graph.n
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    distinct = np.unique(roots)
-    if distinct.size != k:
+    queue = roots.tolist()
+    height = dict.fromkeys(queue, 0)
+    if len(height) != k:
         raise ValueError("roots must be distinct")
-    if distinct[0] < 0 or distinct[-1] >= n:
+    if min(queue) < 0 or max(queue) >= n:
         raise ValueError(f"roots must lie in [0, {n})")
-    height = np.full(n, -1, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    height[roots] = 0
-    order[:k] = roots
     indptr = graph.indptr
     indices = graph.indices
-    head, tail = 0, k
-    while head < tail:
-        v = order[head]
-        head += 1
+    for v in queue:  # the queue grows as it is walked, and ends as the order
         hv1 = height[v] + 1
         for w in indices[indptr[v] : indptr[v + 1]].tolist():
-            if height[w] < 0:
+            if w not in height:
                 height[w] = hv1
-                order[tail] = w
-                tail += 1
-    return Exploration(roots=roots, order=order[:tail].copy(), height=height)
+                queue.append(w)
+    heights = np.fromiter(height.values(), dtype=np.int64, count=len(queue))
+    return Exploration(roots=roots, order=np.array(queue, dtype=np.int64), heights=heights)
 
 
 def _choose_roots(n: int, k: int, rng: RngStream) -> np.ndarray:
@@ -260,10 +256,9 @@ def explore(graph: GraphSample, k: int, rng: RngStream) -> Exploration:
 
 
 def cousin_series(expl: Exploration) -> CousinSeries:
-    """All four series in O(A) from the exploration's heights and order."""
-    h_ord = expl.height[expl.order]
-    Z = np.bincount(h_ord)
-    csn = Z[h_ord]
+    """All four series in O(A) from the heights along the exploration order."""
+    Z = np.bincount(expl.heights)
+    csn = Z[expl.heights]
     K = np.zeros(csn.size + 1, dtype=np.int64)
     np.cumsum(csn, out=K[1:])
     C = np.cumsum(Z)

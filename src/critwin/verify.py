@@ -190,7 +190,7 @@ def suite_identities(seed: int) -> ComparisonReport:
         g = sample_graph(n, p, rng)
         expl = explore(g, k, rng)
         series = cousin_series(expl)
-        h_ord = expl.height[expl.order]
+        h_ord = expl.heights
         # brute-force cousin counts, independent of the bincount route
         brute_csn = (h_ord[None, :] == h_ord[:, None]).sum(axis=1)
         ok = (

@@ -36,6 +36,10 @@ def path_graph():
     return graph_from_edges(3, [0, 1], [1, 2])
 
 
+def _neighbors(g, v):
+    return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
+
+
 def test_sample_graph_p_zero_and_one():
     g0 = sample_graph(5, 0.0, make_stream(1, 0, "g"))
     assert g0.edge_count == 0
@@ -44,13 +48,13 @@ def test_sample_graph_p_zero_and_one():
     # geometric skipping draws gaps of exactly 1 at p = 1, at every size
     g2 = sample_graph(100, 1.0, make_stream(1, 0, "g"))
     assert g2.edge_count == 4950
-    assert all(g2.neighbors(v).tolist() == [w for w in range(100) if w != v] for v in range(100))
+    assert all(_neighbors(g2, v) == [w for w in range(100) if w != v] for v in range(100))
 
 
 def _assert_valid_adjacency(g):
     seen = set()
     for v in range(g.n):
-        nbrs = g.neighbors(v).tolist()
+        nbrs = _neighbors(g, v)
         assert nbrs == sorted(nbrs)
         assert len(nbrs) == len(set(nbrs))
         assert v not in nbrs
@@ -193,16 +197,16 @@ def test_sample_graph_edge_count_mean(n, p):
 
 def test_explore_path_graph_from_middle():
     expl = explore_from_roots(path_graph(), [1])
-    assert expl.height.tolist() == [1, 0, 1]
-    assert expl.a_total == 3
     assert expl.order.tolist() == [1, 0, 2]
+    assert expl.heights.tolist() == [0, 1, 1]
+    assert expl.a_total == 3
 
 
 def test_explore_empty_graph_all_roots():
     g = sample_graph(3, 0.0, make_stream(1, 0, "g"))
     expl = explore_from_roots(g, [0, 1, 2])
     assert expl.a_total == 3
-    assert all(h == 0 for h in expl.height.tolist())
+    assert expl.heights.tolist() == [0, 0, 0]
 
 
 def test_explore_complete_graph_single_root():
@@ -217,6 +221,29 @@ def test_explore_rejects_duplicate_roots():
     g = sample_graph(4, 1.0, make_stream(1, 0, "g"))
     with pytest.raises(ValueError, match="distinct"):
         explore_from_roots(g, [2, 0, 2])
+
+
+@pytest.mark.parametrize("roots,order,heights", [(2, [2, 1, 0], [0, 1, 2]),
+                                                   ([[0, 1]], [0, 1, 2], [0, 0, 1])])
+def test_explore_reads_roots_of_any_shape_flattened(roots, order, heights):
+    expl = explore_from_roots(graph_from_edges(4, [0, 1], [1, 2]), roots)
+    assert expl.order.tolist() == order
+    assert expl.heights.tolist() == heights
+
+
+def test_explore_working_memory_is_that_of_the_explored_vertices():
+    # 2000 of 10**6 vertices are reached; no array of length n may be made
+    n = 10**6
+    g = graph_from_edges(n, np.arange(1999), np.arange(1, 2000))
+    tracemalloc.start()
+    try:
+        expl = explore_from_roots(g, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert expl.order.tolist() == list(range(2000))
+    assert expl.heights.tolist() == list(range(2000))
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("roots", [[-1], [2, -3], [4], [0, 7]])
@@ -563,7 +590,7 @@ def _single_source_heights(g, root):
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.neighbors(v).tolist():
+            for w in _neighbors(g, v):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     nxt.append(w)
@@ -579,10 +606,12 @@ def test_multisource_heights_match_min_over_roots():
         k = int(rng.integers(1, n + 1))
         expl = explore(g, k, rng)
         per_root = [_single_source_heights(g, int(r)) for r in expl.roots]
+        got = dict(zip(expl.order.tolist(), expl.heights.tolist()))
+        assert len(got) == expl.a_total
         for v in range(n):
             best = min((d.get(v, np.inf) for d in per_root), default=np.inf)
-            got = expl.height[v]
-            assert (got == -1 and best == np.inf) or got == best
+            # v is absent from the order exactly when no root reaches it
+            assert got.get(v, np.inf) == best
 
 
 @pytest.mark.parametrize("seed", [2, 7, 8])
@@ -611,7 +640,7 @@ def test_exploration_identities_random_graphs():
         k = int(rng.integers(1, n + 1))
         expl = explore(g, k, rng)
         series = cousin_series(expl)
-        h_ord = expl.height[expl.order]
+        h_ord = expl.heights
         assert np.all(np.diff(h_ord) >= 0)
         assert np.array_equal(series.csn, series.Z[h_ord])
         assert np.array_equal(
