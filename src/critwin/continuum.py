@@ -25,7 +25,15 @@ paths as two shards on two streams, one on a thread that calls nothing
 One crossing convention holds throughout: a crossing seen on the grid is
 placed by linear interpolation inside its cell, and a crossing between grid
 points detected by the Brownian-bridge test (probability exp(-2ab/dt) for a
-cell with positive endpoints a, b) is placed at the cell midpoint.
+cell with positive endpoints a, b) is placed at the cell midpoint.  The test
+takes `exp` only on cells with ab < 373 dt (`_bridge_fired`): beyond, the
+probability is exactly 0.0 in float64.
+
+`sde_ensemble` steps its paths on the calling thread while a `_DrawAhead`
+helper thread draws the next buffer of normals from the same stream, in the
+same order; the values and the stream's end state are those of one draw per
+step, so this is not a split of the stream.  The helper calls only the
+stream's `standard_normal` and `bit_generator.state`, nothing the tracer wraps.
 
 Drift is always applied analytically on the grid; only the Brownian part is
 sampled.  Ensemble variants are vectorized across paths and draw from one
@@ -76,7 +84,7 @@ def _grid_steps(dt: float, t_max: float) -> int:
 
 
 _BLOCK = 500_000  # normals per block over one shard's live paths: the lamperti suite peaks
-# at 91 MiB RSS with it, at 158 MiB with 1_000_000, and unsharded at 124 MiB with 2_000_000
+# at 89 MiB RSS with it and at 142 MiB with 1_000_000
 
 
 def _ratio(num, y):
@@ -96,6 +104,31 @@ def _cell_time(a, b, w):
     return t
 
 
+_BRIDGE_REACH = 373  # exp(-2ab/dt) is exactly 0.0 in float64 wherever ab >= 373 dt
+
+
+def _bridge_fired(left, right, u, dt: float, out):
+    """Into the bool array ``out``: the cells whose bridge crosses, where both
+    endpoints are > 0 and u < exp(-2ab/dt) with ab = left * right.
+
+    Past ab >= `_BRIDGE_REACH` dt the exponent is <= -746, beyond float64's
+    underflow to 0.0 near -745.13, and no u >= 0 fires, so `exp` is taken only
+    on the gathered cells below that; there it rounds as on the whole block.
+    """
+    ab = np.multiply(left, right)
+    fired = np.less(ab, _BRIDGE_REACH * dt, out=out)
+    fired &= left > 0.0
+    fired &= right > 0.0
+    cells = np.flatnonzero(fired)
+    prob = ab.ravel()[cells]
+    del ab
+    prob *= -2.0
+    prob /= dt
+    np.exp(prob, out=prob)
+    fired.ravel()[cells] = u.ravel()[cells] < prob
+    return fired
+
+
 def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
                    bridge: bool = True, t_at: np.ndarray | None = None):
     """The first passage of x + X to zero on the grid 0, dt, ..., m*dt, as
@@ -107,10 +140,17 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     bytes do not depend on the cores.  Under two paths the first shard runs
     alone, with no thread; else the second runs on a thread that ends with the
     call and hands its exception to the caller.  A caller's `np.errstate` does
-    not reach that thread.  ``x`` must be > 0 (ValueError before any draw).
+    not reach that thread.  ``x`` must be > 0 and ``n_paths`` an integer
+    >= 0, checked before any draw.
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
+    try:
+        n_paths = operator.index(n_paths)
+    except TypeError:
+        raise TypeError(f"n_paths must be an integer, got {n_paths!r}") from None
+    if n_paths < 0:
+        raise ValueError(f"need n_paths >= 0, got {n_paths}")
     if n_paths < 2:
         return _shard(x, lam, dt, m, n_paths, rng, bridge, t_at)
     upper = np.random.Generator(rng.bit_generator.jumped())
@@ -173,21 +213,12 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
         a, b = s[r, j], s[r, j + 1]
         t_new[r] = (lo + j + a / (a - b)) * dt
         if bridge:
-            left, right = s[:, :-1], s[:, 1:]
-            prob = np.multiply(left, right)  # -> exp(-2 max(ab, 0) / dt)
-            np.clip(prob, 0.0, None, out=prob)
-            prob *= -2.0
-            prob /= dt
-            np.exp(prob, out=prob)
-            fired = np.less(u, prob, out=neg)  # into neg's buffer: neg is spent
-            del prob
-            fired &= left > 0.0
-            fired &= right > 0.0
+            fired = _bridge_fired(s[:, :-1], s[:, 1:], u, dt, out=neg)  # neg is spent
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_new[r] = np.minimum(t_new[r], t_fire)
         t_cross[live] = np.minimum(t_cross[live], t_new)
-        del u  # spent, as is prob: their blocks go before the clock's temporaries
+        del u  # spent: its block goes before the clock's temporaries
         if t_at is not None:
             own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
             p, sv = live[own], s[own]
@@ -255,6 +286,68 @@ def _euler_step(z, c, lam, noise, sq: float, dt: float):
 
 
 _SDE_BLOCK = 65_536  # normals drawn at a time for one path
+_AHEAD = 1 << 17  # normals in each of `_DrawAhead`'s two buffers
+
+
+class _DrawAhead:
+    """The next ``total`` normals of ``rng``, drawn a buffer ahead on a helper thread.
+
+    Two buffers of at most `_AHEAD` normals are allocated once, here; while
+    `take` reads one, the helper fills the other, which `take` hands over
+    only once it has copied out what it needed of it.  In the ``with``
+    block nothing else may draw from ``rng``.  On leaving it the helper has
+    ended, a fill's exception has reached the caller, and ``rng`` stands
+    where drawing the normals at each `take` would have left it.
+    """
+
+    def __init__(self, rng: RngStream, total: int):
+        self._rng, self._left = rng, total  # normals not yet handed to a fill
+        self._bufs = [np.empty(min(_AHEAD, total)) for _ in range(2)]  # [filling, read]
+        self._buf, self._pos = self._bufs[1][:0], 0
+        self._state = None  # the stream's state before the buffer being read
+
+    def __enter__(self):
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._fill = self._submit()
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        self._pool.shutdown(wait=True)
+        if exc_type is None:
+            if self._fill is not None:
+                self._fill.result()
+            if self._state is not None:  # back past only what was taken of this buffer
+                self._rng.bit_generator.state = self._state
+                self._rng.standard_normal(out=self._buf[: self._pos])
+
+    def _draw(self, out):  # on the helper thread, which calls nothing the tracer wraps
+        state = self._rng.bit_generator.state
+        self._rng.standard_normal(out=out)
+        return state, out
+
+    def _submit(self):
+        k = min(self._bufs[0].size, self._left)
+        self._left -= k
+        return self._pool.submit(self._draw, self._bufs[0][:k]) if k else None
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m normals: a view of one buffer, or a copy where they straddle two."""
+        end = self._pos + m
+        if end <= self._buf.size:
+            self._pos = end
+            return self._buf[end - m : end]
+        out = np.empty(m)
+        got = 0
+        while True:
+            k = min(m - got, self._buf.size - self._pos)
+            out[got : got + k] = self._buf[self._pos : self._pos + k]
+            got, self._pos = got + k, self._pos + k
+            if got == m:
+                return out
+            self._state, self._buf = self._fill.result()
+            self._pos = 0
+            self._bufs.reverse()  # the one read is copied out, so it may be refilled
+            self._fill = self._submit()
 
 
 def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) -> SdePath:
@@ -301,7 +394,9 @@ def sde_ensemble(
     parameters are what the self-similarity restart needs).  Returns
     (z_final, c_final, absorbed_at) with absorbed_at = -1 for paths alive at
     the horizon.  Needs 0 < dt < inf and an integer ``n_steps`` >= 0, checked
-    before any draw.
+    before any draw, as are finite ``lam`` and ``c0``.  Step i takes the
+    next za.size normals from a `_DrawAhead`: the values, and the end state
+    of ``rng``, of one draw per step.
     """
     n_steps = operator.index(n_steps)
     if not (0.0 < dt < math.inf and n_steps >= 0):
@@ -312,23 +407,26 @@ def sde_ensemble(
         raise ValueError("all starting values must be > 0")
     lam_v = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,)).copy()
     c_v = np.broadcast_to(np.asarray(c0, dtype=np.float64), (n,)).copy()
+    if not (np.isfinite(lam_v).all() and np.isfinite(c_v).all()):
+        raise ValueError("lam and c0 must be finite")
     z_final = np.zeros(n)
     c_final = np.zeros(n)
     absorbed_at = np.full(n, -1, dtype=np.int64)
     alive = np.arange(n)
     za, ca, la = z0.copy(), c_v, lam_v
     sq = math.sqrt(dt)
-    for i in range(1, n_steps + 1):
-        za, ca = _euler_step(za, ca, la, rng.standard_normal(za.size), sq, dt)
-        dead = za <= 0.0
-        if dead.any():
-            idx = alive[dead]
-            c_final[idx] = ca[dead]
-            absorbed_at[idx] = i
-            keep = ~dead
-            za, ca, la, alive = za[keep], ca[keep], la[keep], alive[keep]
-            if za.size == 0:
-                break
+    with _DrawAhead(rng, n * n_steps) as normals:
+        for i in range(1, n_steps + 1):
+            za, ca = _euler_step(za, ca, la, normals.take(za.size), sq, dt)
+            dead = za <= 0.0
+            if dead.any():
+                idx = alive[dead]
+                c_final[idx] = ca[dead]
+                absorbed_at[idx] = i
+                keep = ~dead
+                za, ca, la, alive = za[keep], ca[keep], la[keep], alive[keep]
+                if za.size == 0:
+                    break
     z_final[alive] = za
     c_final[alive] = ca
     return z_final, c_final, absorbed_at

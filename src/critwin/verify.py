@@ -370,22 +370,29 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
     """Max |`DeterministicLimit.c` - RK4 of c' = f(c)| over the grid, across cases.
 
     Each step works in preallocated buffers, operation for operation as the
-    classical formulas in the comments, so it rounds as they do; the closed
-    form and the running maximum are taken once per `_RK4_BLOCK` steps.
+    classical formulas in the comments, so it rounds as they do; its scalar
+    operands are arrays and its ufuncs are bound locally with ``out`` passed
+    by position, which trims numpy's per-call overhead on these small
+    arrays.  The closed form and the running maximum are taken once per
+    `_RK4_BLOCK` steps.
     """
     x = np.asarray(xs, dtype=np.float64)
     lam = np.asarray(lams, dtype=np.float64)
     limits = [DeterministicLimit(a, b) for a, b in zip(x.tolist(), lam.tolist())]
     k1, k2, k3, k4, arg, tmp = (np.empty_like(x) for _ in range(6))
+    half, two, sixth_h, half_h, full_h = (
+        np.full_like(x, v) for v in (0.5, 2.0, h / 6.0, 0.5 * h, h)
+    )
+    add, sub, mul = np.add, np.subtract, np.multiply
 
     def f(cv, out):  # x + lam * cv - 0.5 * cv * cv
-        np.multiply(lam, cv, out=out)
-        out += x
-        np.multiply(0.5, cv, out=tmp)
-        np.multiply(tmp, cv, out=tmp)
-        out -= tmp
+        mul(lam, cv, out)
+        add(out, x, out)
+        mul(half, cv, tmp)
+        mul(tmp, cv, tmp)
+        sub(out, tmp, out)
 
-    stages = ((k2, k1, 0.5 * h), (k3, k2, 0.5 * h), (k4, k3, h))
+    stages = ((k2, k1, half_h), (k3, k2, half_h), (k4, k3, full_h))
     maxerr = np.zeros_like(x)
     c = np.zeros((_RK4_BLOCK + 1, x.size))  # row 0: c before the block's first step
     steps = int(round(t_max / h))
@@ -395,16 +402,16 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
             cv = c[r]
             f(cv, k1)
             for k, prev, w in stages:  # k = f(c + w * prev)
-                np.multiply(prev, w, out=arg)
-                arg += cv
+                mul(prev, w, arg)
+                add(arg, cv, arg)
                 f(arg, k)
-            np.multiply(k2, 2.0, out=arg)  # c + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)
-            arg += k1
-            np.multiply(k3, 2.0, out=tmp)
-            arg += tmp
-            arg += k4
-            arg *= h / 6.0
-            np.add(cv, arg, out=c[r + 1])
+            mul(k2, two, arg)  # c + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)
+            add(arg, k1, arg)
+            mul(k3, two, tmp)
+            add(arg, tmp, arg)
+            add(arg, k4, arg)
+            mul(arg, sixth_h, arg)
+            add(cv, arg, c[r + 1])
         t = np.arange(first, first + n) * h
         closed = np.column_stack([lim.c(t) for lim in limits])
         np.maximum(maxerr, np.abs(c[1 : n + 1] - closed).max(axis=0), out=maxerr)

@@ -137,6 +137,130 @@ def test_simulate_sde_draws_the_same_normals_in_any_block_size(monkeypatch):
     assert np.array_equal(whole.z, blocks.z) and np.array_equal(whole.c, blocks.c)
 
 
+def _sde_ensemble_ref(z0, lam, dt, n_steps, rng, c0=0.0):
+    """`sde_ensemble` at one draw per step: the oracle of its draw-ahead."""
+    z = np.array(z0, dtype=np.float64)
+    n = z.size
+    la = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,)).copy()
+    c = np.broadcast_to(np.asarray(c0, dtype=np.float64), (n,)).copy()
+    z_final, c_final = np.zeros(n), np.zeros(n)
+    absorbed_at = np.full(n, -1, dtype=np.int64)
+    alive = np.arange(n)
+    for i in range(1, n_steps + 1):
+        if not alive.size:
+            break
+        z, c = continuum._euler_step(z, c, la, rng.standard_normal(alive.size),
+                                     math.sqrt(dt), dt)
+        dead = z <= 0.0
+        c_final[alive[dead]], absorbed_at[alive[dead]] = c[dead], i
+        z, c, la, alive = z[~dead], c[~dead], la[~dead], alive[~dead]
+    z_final[alive], c_final[alive] = z, c
+    return z_final, c_final, absorbed_at
+
+
+_AHEAD_CASES = {  # (z0, lam, dt, n_steps, c0)
+    "absorbed-mid-run": (np.full(10, 1.0), 0.0, 1e-2, 300, 0.0),
+    "per-path-drift": (np.linspace(0.2, 2.0, 13), np.linspace(-1.0, 1.0, 13), 1e-2, 200,
+                       np.linspace(0.0, 0.5, 13)),
+    "alive-at-horizon": (np.full(3, 5.0), 1.0, 1e-3, 500, 0.0),
+    "all-absorbed-early": (np.full(5, 1e-9), 0.0, 1e-2, 100, 0.0),
+    "no-steps": (np.full(4, 1.0), 0.0, 1e-2, 0, 0.0),
+    "no-paths": (np.zeros(0), 0.0, 1e-2, 50, 0.0),
+}
+
+
+@pytest.mark.parametrize("ahead", [7, 97, continuum._AHEAD])
+@pytest.mark.parametrize("case", sorted(_AHEAD_CASES))
+def test_draw_ahead_equals_one_draw_per_step(monkeypatch, case, ahead):
+    # buffers of 7 or 97 normals make steps straddle two buffers, or more;
+    # the outputs and the stream's end state are those of one draw per step
+    monkeypatch.setattr(continuum, "_AHEAD", ahead)
+    z0, lam, dt, n_steps, c0 = _AHEAD_CASES[case]
+    rng, ref = make_stream(38, 0, "ahead"), make_stream(38, 0, "ahead")
+    out = sde_ensemble(z0, lam, dt, n_steps, rng, c0=c0)
+    expected = _sde_ensemble_ref(z0, lam, dt, n_steps, ref, c0=c0)
+    for got, want in zip(out, expected):
+        assert np.array_equal(got, want)
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    if case == "all-absorbed-early":
+        assert (out[2] > 0).all() and out[2].max() < n_steps
+
+
+class _FillRecorder:
+    """A stream offering only what `_DrawAhead`'s helper may call; it records
+    the thread of each ``standard_normal`` call, and call ``fail`` raises."""
+
+    def __init__(self, rng, fail=None):
+        self._rng, self._fail, self.threads = rng, fail, []
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def standard_normal(self, size=None, out=None):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self._fail:
+            raise _Boom("fill")
+        return self._rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("x,fail", [(1.0, None), (1.0, 3), (1e-9, 2)],
+                         ids=["drawn", "needed-fill-raises", "unneeded-fill-raises"])
+def test_the_draw_ahead_thread_ends_with_the_call(monkeypatch, x, fail):
+    # the fills run on one thread of the call's own, gone when the call
+    # returns or raises; a fill that raises reaches the caller, also one
+    # whose normals no step needs (at x = 1e-9 every path dies at step 1)
+    monkeypatch.setattr(continuum, "_AHEAD", 97)
+    callers, rngs = [], []
+
+    def call():
+        callers.append(threading.current_thread())
+        rngs.append(_FillRecorder(make_stream(39, 0, "t"), fail))
+        sde_ensemble(np.full(10, x), 0.0, 1e-2, 100, rngs[0])
+
+    threads = threading.active_count()
+    exc = _raised_in_time(call)
+    assert isinstance(exc, _Boom) if fail else exc is None
+    helpers = set(rngs[0].threads) - set(callers)
+    assert len(helpers) == 1 and not helpers.pop().is_alive()
+    assert threading.active_count() == threads
+
+
+def test_concurrent_draw_ahead_calls_keep_their_bytes(monkeypatch):
+    # four calls at once, each with its own fill thread, under a 1 us switch
+    # interval: a buffer refilled before a straddling step copied its tail
+    # would show as an output that differs from a lone call's
+    monkeypatch.setattr(continuum, "_AHEAD", 97)
+
+    def call():
+        rng = make_stream(40, 0, "t")
+        out = sde_ensemble(np.full(50, 1.0), 0.0, 1e-2, 400, rng)
+        return _digest(*out, rng.standard_normal(4))
+
+    lone = call()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            calls = [pool.submit(call) for _ in range(4)]
+            digests = [c.result(timeout=120) for c in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == [lone] * 4
+
+
+@pytest.mark.parametrize("lam,c0", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.inf),
+                                    (np.array([0.0, math.nan, 0.0]), 0.0)],
+                         ids=["lam-nan", "lam-inf", "c0-inf", "one-lam-nan"])
+def test_sde_ensemble_rejects_non_finite_drift_before_any_draw(lam, c0):
+    # unchecked, lam = nan gives NaN finals alive at the horizon and c0 = inf
+    # absorbs every path at step 1 with C = inf
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="lam and c0 must be finite"):
+        sde_ensemble(np.ones(3), lam, 1e-3, 10, _NoDraws(), c0=c0)
+    assert threading.active_count() == threads
+
+
 class _SplitRng:
     """Normals and uniforms from two generators, so that how the draws are cut
     into blocks does not change their values."""
@@ -275,6 +399,37 @@ def _digest(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def _bridge_cells(dt):
+    """(left, right, u) rows of crafted cells around the bridge rule's edges."""
+    reach = continuum._BRIDGE_REACH * dt
+    pairs = [(1.0, reach), (1.0, np.nextafter(reach, 0.0)), (1.0, np.nextafter(reach, 1.0)),
+             (2.0, reach / 2), (1.0, 372.5 * dt),  # exp(-745): the least subnormal
+             (1.0, dt), (math.sqrt(dt), math.sqrt(dt)), (1e-200, 1e-200),  # ab underflows
+             (0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0), (-0.0, -0.0),
+             (-0.5, 0.3), (0.3, -0.5), (-1.0, -1.0)]
+    us = [0.0, math.exp(-2.0), 0.5, np.nextafter(1.0, 0.0)]
+    cells = np.array([(a, b, u) for a, b in pairs for u in us]).T
+    return cells[0][None], cells[1][None], cells[2][None]
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-4, 1e-8])
+def test_bridge_rule_equals_the_full_formula(dt):
+    # exp is taken only where ab < 373 dt; the cells as the whole-block
+    # formula gives them, on crafted edges and on a random block
+    def both(left, right, u):
+        full = (u < np.exp(-2 * np.maximum(left * right, 0) / dt)) & (left > 0) & (right > 0)
+        got = continuum._bridge_fired(left, right, u, dt, out=np.empty(u.shape, dtype=bool))
+        assert np.array_equal(got, full)
+        return got
+
+    left, right, u = _bridge_cells(dt)
+    fired = both(left, right, u)
+    assert fired[(right == 372.5 * dt) & (u == 0.0)].all()  # just inside the reach
+    rng = np.random.default_rng(41)
+    s = rng.standard_normal((30, 201)) * math.sqrt(400 * dt)  # a block's strided views
+    assert both(s[:, :-1], s[:, 1:], rng.random((30, 200))).any()
 
 
 def test_lamperti_marginals_bytes_pinned():
@@ -586,6 +741,21 @@ def test_sde_ensemble_rejects_bad_dt_and_steps_before_any_draw(dt, n_steps, erro
         sde_ensemble(np.ones(3), 0.0, dt, n_steps, _NoDraws())
 
 
+@pytest.mark.parametrize("n_paths,error,message", [
+    (2.5, TypeError, "n_paths must be an integer, got 2.5"),
+    (-1, ValueError, "need n_paths >= 0, got -1"),
+], ids=["fractional", "negative"])
+@pytest.mark.parametrize("entry", [
+    lambda n_paths, rng: hitting_ensemble(1.0, 0.0, 1e-3, 1.0, n_paths, rng),
+    lambda n_paths, rng: lamperti_marginals(1.0, 0.0, 1e-3, 1.0, n_paths, rng),
+], ids=["hitting_ensemble", "lamperti_marginals"])
+def test_n_paths_is_checked_before_the_jump(entry, n_paths, error, message):
+    # _NoDraws has no bit_generator to jump; unchecked, 2.5 raised numpy's
+    # TypeError from inside _shard and -1 "negative dimensions are not allowed"
+    with pytest.raises(error, match=message):
+        entry(n_paths, _NoDraws())
+
+
 def test_lamperti_marginals_rejects_a_grid_shorter_than_dt():
     # a grid_t_max below dt once gave an X grid of no steps: z = c = 0 for every path
     with pytest.raises(ValueError, match="need dt > 0 and t_max >= dt"):
@@ -718,6 +888,57 @@ def test_rk4_oracle_grades_the_library_curve(monkeypatch):
     c = DeterministicLimit.c
     monkeypatch.setattr(DeterministicLimit, "c", lambda self, t: c(self, t) + 1e-7)
     assert rk4_curve_max_error(xs, lams, t_max=5.0, h=1e-3) > 1e-8
+
+
+def _rk4_curve_max_error_ref(xs, lams, t_max, h=1e-4):
+    """`rk4_curve_max_error` with Python-float operands and keyword ``out``:
+    the oracle of its trimmed loop."""
+    x = np.asarray(xs, dtype=np.float64)
+    lam = np.asarray(lams, dtype=np.float64)
+    limits = [DeterministicLimit(a, b) for a, b in zip(x.tolist(), lam.tolist())]
+    k1, k2, k3, k4, arg, tmp = (np.empty_like(x) for _ in range(6))
+
+    def f(cv, out):
+        np.multiply(lam, cv, out=out)
+        out += x
+        np.multiply(0.5, cv, out=tmp)
+        np.multiply(tmp, cv, out=tmp)
+        out -= tmp
+
+    stages = ((k2, k1, 0.5 * h), (k3, k2, 0.5 * h), (k4, k3, h))
+    maxerr = np.zeros_like(x)
+    block = verify._RK4_BLOCK
+    c = np.zeros((block + 1, x.size))
+    steps = int(round(t_max / h))
+    for first in range(1, steps + 1, block):
+        n = min(block, steps + 1 - first)
+        for r in range(n):
+            cv = c[r]
+            f(cv, k1)
+            for k, prev, w in stages:
+                np.multiply(prev, w, out=arg)
+                arg += cv
+                f(arg, k)
+            np.multiply(k2, 2.0, out=arg)
+            arg += k1
+            np.multiply(k3, 2.0, out=tmp)
+            arg += tmp
+            arg += k4
+            arg *= h / 6.0
+            np.add(cv, arg, out=c[r + 1])
+        t = np.arange(first, first + n) * h
+        closed = np.column_stack([lim.c(t) for lim in limits])
+        np.maximum(maxerr, np.abs(c[1 : n + 1] - closed).max(axis=0), out=maxerr)
+        c[0] = c[n]
+    return float(maxerr.max())
+
+
+def test_rk4_oracle_rounds_as_the_plain_loop():
+    # 5000 steps cross a block edge; the trimmed loop's error is bit-equal
+    rng = np.random.default_rng(42)
+    xs, lams = rng.uniform(0.1, 5.0, size=5), rng.uniform(-3.0, 3.0, size=5)
+    got = rk4_curve_max_error(xs, lams, t_max=0.5)
+    assert got == _rk4_curve_max_error_ref(xs, lams, t_max=0.5) and got > 0
 
 
 def test_self_similarity_insufficient_sample(monkeypatch):
