@@ -84,7 +84,7 @@ def _grid_steps(dt: float, t_max: float) -> int:
 
 
 _BLOCK = 500_000  # normals per block over one shard's live paths: the lamperti suite peaks
-# at 89 MiB RSS with it and at 142 MiB with 1_000_000
+# at 86 MiB RSS with it and at 126 MiB with 1_000_000
 
 
 def _ratio(num, y):
@@ -107,9 +107,10 @@ def _cell_time(a, b, w):
 _BRIDGE_REACH = 373  # exp(-2ab/dt) is exactly 0.0 in float64 wherever ab >= 373 dt
 
 
-def _bridge_fired(left, right, u, dt: float, out):
+def _bridge_fired(left, right, dt: float, rng: RngStream, out):
     """Into the bool array ``out``: the cells whose bridge crosses, where both
-    endpoints are > 0 and u < exp(-2ab/dt) with ab = left * right.
+    endpoints are > 0 and u < exp(-2ab/dt) with ab = left * right and u the
+    block of ``rng.random(out.shape)``, drawn here once ab is spent.
 
     Past ab >= `_BRIDGE_REACH` dt the exponent is <= -746, beyond float64's
     underflow to 0.0 near -745.13, and no u >= 0 fires, so `exp` is taken only
@@ -125,7 +126,7 @@ def _bridge_fired(left, right, u, dt: float, out):
     prob *= -2.0
     prob /= dt
     np.exp(prob, out=prob)
-    fired.ravel()[cells] = u.ravel()[cells] < prob
+    fired.ravel()[cells] = rng.random(out.shape).ravel()[cells] < prob
     return fired
 
 
@@ -164,10 +165,11 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
 
 def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
     """One shard of `_first_passage`: ``n_paths`` paths, all drawn from ``rng``.
-    Each block draws a (live paths, columns) array of standard normals, then
-    a same-shaped array of bridge uniforms, and turns the running sum of the
-    normals, carried across block edges, into x + X over its columns in
-    place.  A path retires after the block in which x + X reaches zero on
+    Each block draws a (live paths, columns) array of standard normals and
+    turns their running sum, carried across block edges, into x + X over its
+    columns in place, then draws a same-shaped array of bridge uniforms
+    (in `_bridge_fired`, after its products ab are spent, so that the two
+    blocks are never held at once).  A path retires after the block in which x + X reaches zero on
     the grid, so the live set and the draws are the same whether ``bridge``
     is on or off.  The earliest event is kept: a grid crossing placed by
     linear interpolation inside its cell or, with ``bridge``, a cell with
@@ -204,7 +206,6 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
         s *= sq  # in place: x + X on the block's columns, left edge included
         s += _drift(lam, np.arange(lo, hi + 1) * dt)
         s += x
-        u = rng.random((live.size, hi - lo))
         t_new = np.full(live.size, np.inf)
         neg = s[:, 1:] <= 0.0
         crossed = neg.any(axis=1)
@@ -213,23 +214,25 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
         a, b = s[r, j], s[r, j + 1]
         t_new[r] = (lo + j + a / (a - b)) * dt
         if bridge:
-            fired = _bridge_fired(s[:, :-1], s[:, 1:], u, dt, out=neg)  # neg is spent
+            fired = _bridge_fired(s[:, :-1], s[:, 1:], dt, rng, out=neg)  # neg is spent
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_new[r] = np.minimum(t_new[r], t_fire)
+        else:
+            rng.random(neg.shape)  # the bridge's uniforms, drawn with or without it
         t_cross[live] = np.minimum(t_cross[live], t_new)
-        del u  # spent: its block goes before the clock's temporaries
         if t_at is not None:
             own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
-            p, sv = live[own], s[own]
-            np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
+            p, sv = live[own], (s if own.size == live.size else s[own])
+            del s  # spent: sv is the one block the clock holds
             stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
             stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
             if bridge:
                 stop |= fired[own]
             hit = np.flatnonzero(stop.any(axis=1))
             k = np.argmax(stop[hit], axis=1)  # the absorbing cell
-            a, b = s[own[hit], k], s[own[hit], k + 1]
+            a, b = sv[hit, k], sv[hit, k + 1]
+            np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
             f = (a > dt).astype(np.float64)  # share of it run before absorption
             np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
             if bridge:

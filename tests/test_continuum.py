@@ -418,9 +418,18 @@ def _bridge_cells(dt):
 def test_bridge_rule_equals_the_full_formula(dt):
     # exp is taken only where ab < 373 dt; the cells as the whole-block
     # formula gives them, on crafted edges and on a random block
+    class Uniforms:  # a stream whose one block of uniforms is u
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, size):
+            assert size == self.u.shape
+            return self.u
+
     def both(left, right, u):
         full = (u < np.exp(-2 * np.maximum(left * right, 0) / dt)) & (left > 0) & (right > 0)
-        got = continuum._bridge_fired(left, right, u, dt, out=np.empty(u.shape, dtype=bool))
+        got = continuum._bridge_fired(left, right, dt, Uniforms(u),
+                                      out=np.empty(u.shape, dtype=bool))
         assert np.array_equal(got, full)
         return got
 
@@ -689,6 +698,23 @@ def test_lamperti_marginals_stores_no_x_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 0.4 * x_chunk
+
+
+def test_a_shard_holds_one_float_block_beside_x_plus_x(monkeypatch):
+    # the bridge's products are spent before its uniforms are drawn, and the
+    # clock works on the block of x + X itself or on its owing rows alone:
+    # 4.6 blocks at the peak, where holding products and uniforms at once, or
+    # the clock's copy beside the block, gave 5.5
+    monkeypatch.setattr(continuum, "_BLOCK", 200_000)
+    dt = 1e-4
+    m = int(round(continuum._default_grid_span(1.0, 0.0) / dt))
+    tracemalloc.start()
+    try:
+        _shard(1.0, 0.0, dt, m, 300, make_stream(3, 0, "mem"), True, np.array([1.0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 200_000 * 8
 
 
 @pytest.mark.parametrize("x,lam", [(1e-6, 0.0), (1.0, -3.0), (0.05, -5.0)])
