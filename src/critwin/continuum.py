@@ -167,11 +167,11 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
     """One shard of `_first_passage`: ``n_paths`` paths, all drawn from ``rng``.
     Each block draws a (live paths, columns) array of standard normals and
     turns their running sum, carried across block edges, into x + X over its
-    columns in place, then draws a same-shaped array of bridge uniforms
-    (in `_bridge_fired`, after its products ab are spent, so that the two
-    blocks are never held at once).  A path retires after the block in which x + X reaches zero on
-    the grid, so the live set and the draws are the same whether ``bridge``
-    is on or off.  The earliest event is kept: a grid crossing placed by
+    columns in place, then draws a same-shaped array of bridge uniforms (in
+    `_bridge_fired`, once its products ab are spent, so the two blocks are
+    never held at once).  A path retires after the block in which x + X
+    reaches zero on the grid, so the live set and the draws are the same
+    whether ``bridge`` is on or off.  The earliest event is kept: a grid crossing placed by
     linear interpolation inside its cell or, with ``bridge``, a cell with
     positive endpoints a, b crossing with probability exp(-2ab/dt), placed
     at the cell midpoint; the bridge test removes the O(sqrt(dt)) late bias
