@@ -171,11 +171,12 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
     `_bridge_fired`, once its products ab are spent, so the two blocks are
     never held at once).  A path retires after the block in which x + X
     reaches zero on the grid, so the live set and the draws are the same
-    whether ``bridge`` is on or off.  The earliest event is kept: a grid crossing placed by
-    linear interpolation inside its cell or, with ``bridge``, a cell with
-    positive endpoints a, b crossing with probability exp(-2ab/dt), placed
-    at the cell midpoint; the bridge test removes the O(sqrt(dt)) late bias
-    of grid-only detection.  Paths with no event are truncated at m*dt.
+    whether ``bridge`` is on or off.  The earliest event is kept: a grid
+    crossing placed by linear interpolation inside its cell or, with
+    ``bridge``, a cell with positive endpoints a, b crossing with
+    probability exp(-2ab/dt), placed at the cell midpoint; the bridge test
+    removes the O(sqrt(dt)) late bias of grid-only detection.  Paths with
+    no event are truncated at m*dt.
 
     With ``t_at`` (sorted times >= 0), C solves dC/dt = x + X(C) exactly on
     the piecewise-linear interpolant: a cell from a to b takes `_cell_time`,
