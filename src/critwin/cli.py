@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -21,6 +20,7 @@ from . import artifacts
 from .chain import simulate_trace
 from .continuum import (
     DeterministicLimit,
+    _checked_start,
     _default_grid_span,
     _grid_steps,
     hitting_ensemble,
@@ -213,12 +213,8 @@ def cmd_simulate_chain(args) -> int:
 
 def cmd_continuum(args) -> int:
     x, lam, dt, t_max = args.x, args.lam, args.dt, args.t_max
-    for name, val in (("--x", x), ("--lambda", lam), ("--dt", dt), ("--t-max", t_max)):
-        if not math.isfinite(val):
-            raise ConfigError(f"{name} must be finite, got {val}")
+    _checked_start(x, lam)
     steps = _grid_steps(dt, t_max)
-    if x <= 0:
-        raise ConfigError(f"--x must be > 0, got {x}")
     if args.kind == "lamperti":  # the route's own X grid spans 3 t0 + 8, not t_max
         span = _default_grid_span(x, lam)
         try:
@@ -238,11 +234,6 @@ def cmd_continuum(args) -> int:
                 "--replicates or --threads other than 1"
             )
         lim = DeterministicLimit(x=x, lam=lam)
-        if not abs(lam) < lim.s < math.inf:  # c(t) takes atanh(-lam / s)
-            raise ConfigError(
-                f"sqrt(2x + lambda**2) must be finite and above |lambda|, got x = {x}, "
-                f"lambda = {lam}: the curve c(t) is undefined"
-            )
         t_grid = np.arange(steps + 1) * dt
         with np.errstate(over="ignore", invalid="ignore"):
             curves = [[float(g(t)) for t in t_grid] for g in (lim.f, lim.c, lim.z, lim.k_limit)]

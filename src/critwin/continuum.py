@@ -16,7 +16,9 @@ statistically by the verification suites:
   absorbed where the interpolant falls to dt or at a bridge crossing.
 
 `_first_passage` draws X a block at a time, finds the first passage of x + X to
-zero for the hitting times and runs the Lamperti clock, so no X grid is stored.
+zero and runs the Lamperti clock on the paths still owing a time, so no X grid
+is stored; a hitting ensemble asks for no times and runs no clock.  The bridge
+test always runs, and its uniforms are always drawn.
 `sample_parabolic_bm` draws the same X directly, as one recorded path; a test
 holds the two equal on the same normals.  A `_first_passage` call runs its
 paths as two shards on two streams, one on a thread that calls nothing
@@ -130,10 +132,18 @@ def _bridge_fired(left, right, dt: float, rng: RngStream, out):
     return fired
 
 
+def _checked_start(x, lam) -> None:
+    """ValueError unless every start ``x`` is finite and > 0 and every drift
+    ``lam`` is finite; either may be a scalar or an array."""
+    if not (np.all(np.greater(x, 0)) and np.isfinite(x).all() and np.isfinite(lam).all()):
+        raise ValueError(f"need x > 0, with x and lam finite, got x={x}, lam={lam}")
+
+
 def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: RngStream,
-                   bridge: bool = True, t_at: np.ndarray | None = None):
-    """The first passage of x + X to zero on the grid 0, dt, ..., m*dt, as
-    `_shard` gives it, over two shards of the paths joined in path order.
+                   t_at: np.ndarray):
+    """The first passage of x + X to zero on the grid 0, dt, ..., m*dt, and
+    the time change read at the sorted times ``t_at``, as `_shard` gives
+    them, over two shards of the paths joined in path order.
 
     Paths [0, ceil(n_paths/2)) draw from ``rng``, the rest from
     ``Generator(rng.bit_generator.jumped())``, whose end state ``rng`` then
@@ -141,11 +151,10 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     bytes do not depend on the cores.  Under two paths the first shard runs
     alone, with no thread; else the second runs on a thread that ends with the
     call and hands its exception to the caller.  A caller's `np.errstate` does
-    not reach that thread.  ``x`` must be > 0 and ``n_paths`` an integer
-    >= 0, checked before any draw.
+    not reach that thread.  ``x`` and ``lam`` must pass `_checked_start` and
+    ``n_paths`` must be an integer >= 0, checked before any draw.
     """
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
+    _checked_start(x, lam)
     try:
         n_paths = operator.index(n_paths)
     except TypeError:
@@ -153,48 +162,48 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     if n_paths < 0:
         raise ValueError(f"need n_paths >= 0, got {n_paths}")
     if n_paths < 2:
-        return _shard(x, lam, dt, m, n_paths, rng, bridge, t_at)
+        return _shard(x, lam, dt, m, n_paths, rng, t_at)
     upper = np.random.Generator(rng.bit_generator.jumped())
     with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(_shard, x, lam, dt, m, n_paths // 2, upper, bridge, t_at)
-        first = _shard(x, lam, dt, m, n_paths - n_paths // 2, rng, bridge, t_at)
+        second = pool.submit(_shard, x, lam, dt, m, n_paths // 2, upper, t_at)
+        first = _shard(x, lam, dt, m, n_paths - n_paths // 2, rng, t_at)
         out = tuple(np.concatenate(pair) for pair in zip(first, second.result()))
     rng.bit_generator.state = upper.bit_generator.state
     return out
 
 
-def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
+def _shard(x, lam, dt, m, n_paths, rng, t_at):
     """One shard of `_first_passage`: ``n_paths`` paths, all drawn from ``rng``.
     Each block draws a (live paths, columns) array of standard normals and
     turns their running sum, carried across block edges, into x + X over its
     columns in place, then draws a same-shaped array of bridge uniforms (in
     `_bridge_fired`, once its products ab are spent, so the two blocks are
     never held at once).  A path retires after the block in which x + X
-    reaches zero on the grid, so the live set and the draws are the same
-    whether ``bridge`` is on or off.  The earliest event is kept: a grid
-    crossing placed by linear interpolation inside its cell or, with
-    ``bridge``, a cell with positive endpoints a, b crossing with
-    probability exp(-2ab/dt), placed at the cell midpoint; the bridge test
-    removes the O(sqrt(dt)) late bias of grid-only detection.  Paths with
-    no event are truncated at m*dt.
+    reaches zero on the grid, so the live set and the draws do not depend
+    on the bridge test's outcome.  The earliest event is kept: a grid
+    crossing placed by linear interpolation inside its cell, or a cell with
+    positive endpoints a, b crossing with probability exp(-2ab/dt), placed
+    at the cell midpoint; the bridge test removes the O(sqrt(dt)) late bias
+    of grid-only detection.  Paths with no event are truncated at m*dt.
 
-    With ``t_at`` (sorted times >= 0), C solves dC/dt = x + X(C) exactly on
+    At the sorted times ``t_at`` >= 0, C solves dC/dt = x + X(C) exactly on
     the piecewise-linear interpolant: a cell from a to b takes `_cell_time`,
     and s into it Z = a exp((b - a) s / dt), with C the integral of Z.  A
     path is absorbed (Z = 0, C frozen) where the interpolant first falls to
     dt, below which it only crawls towards a crossing it cannot resolve, or
-    at a bridge midpoint, whichever comes first.  Returns (t_cross,
-    truncated, z, c), z and c of shape (n_paths, t_at.size); a path whose
-    grid ends before a time reads the grid's end there.
+    at a bridge midpoint, whichever comes first.  The clock runs on the rows
+    still owing a value and draws nothing; with an empty ``t_at`` (a hitting
+    ensemble) it never runs.  Returns (t_cross, truncated, z, c), z and c of
+    shape (n_paths, t_at.size); a path whose grid ends before a time reads
+    the grid's end there.
     """
     sq = math.sqrt(dt)
     t_cross = np.full(n_paths, np.inf)
     walk_end = np.zeros(n_paths)  # sum of the normals at the block's left edge
-    if t_at is not None:
-        z_at = np.zeros((n_paths, t_at.size))
-        c_at = np.zeros((n_paths, t_at.size))
-        clock = np.zeros(n_paths)  # time-change clock at the block's left edge
-        done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
+    z_at = np.zeros((n_paths, t_at.size))
+    c_at = np.zeros((n_paths, t_at.size))
+    clock = np.zeros(n_paths)  # time-change clock at the block's left edge
+    done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
     live = np.arange(n_paths)
     hi = 0
     while hi < m and live.size:
@@ -214,30 +223,25 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
         j = np.argmax(neg[r], axis=1)
         a, b = s[r, j], s[r, j + 1]
         t_new[r] = (lo + j + a / (a - b)) * dt
-        if bridge:
-            fired = _bridge_fired(s[:, :-1], s[:, 1:], dt, rng, out=neg)  # neg is spent
-            r = np.flatnonzero(fired.any(axis=1))
-            t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
-            t_new[r] = np.minimum(t_new[r], t_fire)
-        else:
-            rng.random(neg.shape)  # the bridge's uniforms, drawn with or without it
+        fired = _bridge_fired(s[:, :-1], s[:, 1:], dt, rng, out=neg)  # neg is spent
+        r = np.flatnonzero(fired.any(axis=1))
+        t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
+        t_new[r] = np.minimum(t_new[r], t_fire)
         t_cross[live] = np.minimum(t_cross[live], t_new)
-        if t_at is not None:
-            own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
+        own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
+        if own.size:
             p, sv = live[own], (s if own.size == live.size else s[own])
             del s  # spent: sv is the one block the clock holds
             stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
             stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
-            if bridge:
-                stop |= fired[own]
+            stop |= fired[own]
             hit = np.flatnonzero(stop.any(axis=1))
             k = np.argmax(stop[hit], axis=1)  # the absorbing cell
             a, b = sv[hit, k], sv[hit, k + 1]
             np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
             f = (a > dt).astype(np.float64)  # share of it run before absorption
             np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
-            if bridge:
-                np.minimum(f, 0.5, out=f, where=fired[own[hit], k])
+            np.minimum(f, 0.5, out=f, where=fired[own[hit], k])
             tick = _cell_time(sv[:, :-1], sv[:, 1:], dt)
             tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
             tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
@@ -262,8 +266,6 @@ def _shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
         live = live[~crossed]
     truncated = np.isinf(t_cross)
     t_cross[truncated] = m * dt
-    if t_at is None:
-        return t_cross, truncated
     short = np.arange(t_at.size) >= done[:, None]  # past the end of the grid
     s_end = walk_end * sq + _drift(lam, m * dt) + x  # x + X at the grid's end
     return (t_cross, truncated,
@@ -363,8 +365,7 @@ def simulate_sde(x: float, lam: float, dt: float, t_max: float, rng: RngStream) 
     to the end of the block.
     """
     n_steps = _grid_steps(dt, t_max)
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
+    _checked_start(x, lam)
     z_path = np.zeros(n_steps + 1)
     c_path = np.zeros(n_steps + 1)
     z, c, lam = np.float64(x), np.float64(0.0), np.float64(lam)
@@ -398,7 +399,8 @@ def sde_ensemble(
     parameters are what the self-similarity restart needs).  Returns
     (z_final, c_final, absorbed_at) with absorbed_at = -1 for paths alive at
     the horizon.  Needs 0 < dt < inf and an integer ``n_steps`` >= 0, checked
-    before any draw, as are finite ``lam`` and ``c0``.  Step i takes the
+    before any draw, as are ``z0`` and ``lam`` (`_checked_start`) and a
+    finite ``c0``.  Step i takes the
     next za.size normals from a `_DrawAhead`: the values, and the end state
     of ``rng``, of one draw per step.
     """
@@ -407,12 +409,11 @@ def sde_ensemble(
         raise ValueError(f"need 0 < dt < inf and n_steps >= 0, got dt={dt}, n_steps={n_steps}")
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     n = z0.size
-    if not np.all(z0 > 0):
-        raise ValueError("all starting values must be > 0")
     lam_v = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,)).copy()
     c_v = np.broadcast_to(np.asarray(c0, dtype=np.float64), (n,)).copy()
-    if not (np.isfinite(lam_v).all() and np.isfinite(c_v).all()):
-        raise ValueError("lam and c0 must be finite")
+    _checked_start(z0, lam_v)
+    if not np.isfinite(c_v).all():
+        raise ValueError(f"need c0 finite, got c0={c0}")
     z_final = np.zeros(n)
     c_final = np.zeros(n)
     absorbed_at = np.full(n, -1, dtype=np.int64)
@@ -446,7 +447,7 @@ def lamperti_route(x: float, lam: float, dt: float, t_max: float, rng: RngStream
     """
     t_at = np.arange(_grid_steps(dt, t_max) + 1) * dt
     m = _grid_steps(dt, _default_grid_span(x, lam))
-    _, _, z, c = _first_passage(x, lam, dt, m, 1, rng, t_at=t_at)
+    _, _, z, c = _first_passage(x, lam, dt, m, 1, rng, t_at)
     zero = np.flatnonzero(z[0] == 0.0)
     return SdePath(z=z[0], c=c[0], absorbed_at=int(zero[0]) if zero.size else None)
 
@@ -467,7 +468,7 @@ def lamperti_marginals(
     if grid_t_max is None:
         grid_t_max = _default_grid_span(x, lam)
     t_cross, truncated, z, c = _first_passage(
-        x, lam, dt, _grid_steps(dt, grid_t_max), n_paths, rng, t_at=t_at
+        x, lam, dt, _grid_steps(dt, grid_t_max), n_paths, rng, t_at
     )
     return z[:, 0], c[:, 0], t_cross, truncated
 
@@ -482,9 +483,9 @@ def hitting_ensemble(
 ):
     """First passage of x + X to zero for an ensemble; (T, truncated).
 
-    See `_first_passage` for the crossing rule.
+    See `_first_passage` for the crossing rule; no time is read, so no clock runs.
     """
-    return _first_passage(x, lam, dt, _grid_steps(dt, t_max), n_paths, rng)
+    return _first_passage(x, lam, dt, _grid_steps(dt, t_max), n_paths, rng, np.empty(0))[:2]
 
 
 @dataclass(frozen=True)
@@ -500,8 +501,7 @@ class DeterministicLimit:
     lam: float
 
     def __post_init__(self):
-        if not self.x > 0:
-            raise ValueError(f"need x > 0, got {self.x}")
+        _checked_start(self.x, self.lam)
 
     @property
     def s(self) -> float:
@@ -516,8 +516,13 @@ class DeterministicLimit:
         return self.x + self.lam * t - 0.5 * t * t
 
     def c(self, t):
+        """ValueError where sqrt(2x + lam**2) is not finite or rounds to |lam|,
+        since c takes atanh(-lam / s)."""
         t = np.asarray(t, dtype=np.float64)
         s = self.s
+        if not abs(self.lam) < s < math.inf:
+            raise ValueError(f"sqrt(2x + lam**2) must be finite and above |lam|, got "
+                             f"x = {self.x}, lam = {self.lam}: the curve c(t) is undefined")
         phase = 0.5 * s * t + math.atanh(-self.lam / s)
         return self.lam + s * np.tanh(phase)
 

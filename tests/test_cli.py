@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -131,6 +132,22 @@ def test_verify_out_writes_report_and_sweep(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"report.json", "sweep.csv"}
     assert manifest["config"]["seed"] == report["seed"] == 20260810
+
+
+def test_reports_tool_digests_the_bytes_verify_writes(tmp_path, capsys, monkeypatch):
+    # tools/reports.py restates report.json's byte format; it must hash what
+    # `verify --out` writes
+    monkeypatch.delenv("CW_SEED", raising=False)
+    spec = importlib.util.spec_from_file_location(
+        "reports", Path(__file__).resolve().parent.parent / "tools" / "reports.py"
+    )
+    reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reports)
+    out = tmp_path / "v"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "kernel", "--out", str(out))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert reports._entry("kernel", None)["sha256"] == manifest["outputs"]["report.json"]
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

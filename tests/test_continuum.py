@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -256,7 +257,7 @@ def test_sde_ensemble_rejects_non_finite_drift_before_any_draw(lam, c0):
     # unchecked, lam = nan gives NaN finals alive at the horizon and c0 = inf
     # absorbs every path at step 1 with C = inf
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="lam and c0 must be finite"):
+    with pytest.raises(ValueError, match="with x and lam finite|need c0 finite"):
         sde_ensemble(np.ones(3), lam, 1e-3, 10, _NoDraws(), c0=c0)
     assert threading.active_count() == threads
 
@@ -273,6 +274,14 @@ class _SplitRng:
 
     def random(self, size):
         return self._uniform.random(size)
+
+
+def _grid_only(left, right, dt, rng, out):
+    """`_bridge_fired` with the bridge test off: the block's uniforms are
+    drawn as the test draws them, and no cell fires."""
+    rng.random(out.shape)
+    out[...] = False
+    return out
 
 
 def test_blockwise_generation_carries_the_walk(monkeypatch):
@@ -294,10 +303,11 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
     # first cell where x + X reaches zero on the path that
     # `sample_parabolic_bm` draws from the same normals
     monkeypatch.setattr(continuum, "_BLOCK", 7)
+    monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
     x, dt = 1.0, 1e-2
     first_cells = 0
     for seed in range(16):
-        (t,), (truncated,) = _first_passage(x, 0.0, dt, 1200, 1, _SplitRng(seed), bridge=False)
+        (t,), (truncated,) = _first_passage(x, 0.0, dt, 1200, 1, _SplitRng(seed), np.empty(0))[:2]
         path = sample_parabolic_bm(0.0, x, dt, 12.0, make_stream(seed, 0, "n"))
         assert not truncated
         j = np.argmax(path[1:] <= 0.0)  # the crossing cell runs from j to j + 1
@@ -479,15 +489,17 @@ _SPLIT_PINS = {  # (stream seed, call, digest) at the shard split's edge sizes
                   "781d562a144f00466f0c5e7848a21472704f10450d45e06d0d9c2e52ec8146a1"),
     "hitting-3": (32, lambda rng: hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 3, rng),
                   "82d59e39cbff7e044f01210fee3d1d8e085abef80669c135ef603b3cae7260e8"),
-    "no-bridge-clock-40": (
-        33, lambda rng: _first_passage(1.0, 0.5, 1e-3, 6000, 40, rng, bridge=False,
-                                       t_at=np.array([0.25, 1.0, 2.0])),
+    "no-bridge-clock-40": (  # run under `_grid_only`
+        33, lambda rng: _first_passage(1.0, 0.5, 1e-3, 6000, 40, rng,
+                                       np.array([0.25, 1.0, 2.0])),
         "093a4e3e3262c4b7e5ab607bceef19161847b58a2705e9b41830d61ac3a6cc1f"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_PINS))
-def test_split_edge_sizes_bytes_pinned(case):
+def test_split_edge_sizes_bytes_pinned(monkeypatch, case):
+    if case.startswith("no-bridge"):
+        monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
     seed, call, digest = _SPLIT_PINS[case]
     assert _digest(*call(make_stream(seed, 0, "pin"))) == digest
 
@@ -545,22 +557,41 @@ def _raised_in_time(call):
 
 
 @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "grid"])
-@pytest.mark.parametrize("t_at", [None, np.array([0.25, 1.0, 2.0])], ids=["hitting", "clock"])
+@pytest.mark.parametrize("t_at", [np.empty(0), np.array([0.25, 1.0, 2.0])],
+                         ids=["hitting", "clock"])
 @pytest.mark.parametrize("n_paths", [2, 3, 40, 301])
-def test_the_shards_are_two_serial_runs_on_two_streams(n_paths, t_at, bridge):
+def test_the_shards_are_two_serial_runs_on_two_streams(monkeypatch, n_paths, t_at, bridge):
     # the layout, run here on one thread: the first ceil(N/2) paths are a
     # shard on the caller's stream, the rest a shard on its jump, and the
     # caller's stream ends where the second shard leaves the jump
+    if not bridge:
+        monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
     args = (1.0, 0.5, 1e-2, 600)
     rng, ref = make_stream(36, 0, "layout"), make_stream(36, 0, "layout")
-    out = _first_passage(*args, n_paths, rng, bridge=bridge, t_at=t_at)
+    out = _first_passage(*args, n_paths, rng, t_at)
     upper = np.random.Generator(ref.bit_generator.jumped())
-    first = _shard(*args, n_paths - n_paths // 2, ref, bridge, t_at)
-    second = _shard(*args, n_paths // 2, upper, bridge, t_at)
-    assert len(out) == len(first) == (2 if t_at is None else 4)
+    first = _shard(*args, n_paths - n_paths // 2, ref, t_at)
+    second = _shard(*args, n_paths // 2, upper, t_at)
+    assert len(out) == len(first) == 4
     for got, lower, higher in zip(out, first, second):
         assert np.array_equal(got, np.concatenate([lower, higher]))
     assert repr(rng.bit_generator.state) == repr(upper.bit_generator.state)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 41])
+def test_the_clock_moves_no_crossing_and_no_draw(monkeypatch, n_paths):
+    # a hitting ensemble reads no times and so runs no clock: its crossings
+    # and the stream's end state are those of a call whose clock reads three,
+    # through blocks in which all, some or none of the live rows owe a value
+    monkeypatch.setattr(continuum, "_BLOCK", 97)
+    args = (1.0, 0.5, 1e-2, 600, n_paths)
+    bare_rng, read_rng = make_stream(38, 0, "clock"), make_stream(38, 0, "clock")
+    bare = _first_passage(*args, bare_rng, np.empty(0))
+    read = _first_passage(*args, read_rng, np.array([0.25, 1.0, 2.0]))
+    assert bare[2].shape == bare[3].shape == (n_paths, 0)
+    for got, want in zip(bare[:2], read[:2]):
+        assert np.array_equal(got, want)
+    assert repr(bare_rng.bit_generator.state) == repr(read_rng.bit_generator.state)
 
 
 _SPLIT_CALLS = {
@@ -622,8 +653,8 @@ def test_successive_calls_on_one_stream_share_no_draws(monkeypatch, entry):
     monkeypatch.setattr(continuum, "_BLOCK", 997)
     calls = []
 
-    def shard(x, lam, dt, m, n_paths, rng, bridge, t_at):
-        return _shard(x, lam, dt, m, n_paths, _DrawRecorder(rng, calls[-1]), bridge, t_at)
+    def shard(x, lam, dt, m, n_paths, rng, t_at):
+        return _shard(x, lam, dt, m, n_paths, _DrawRecorder(rng, calls[-1]), t_at)
 
     monkeypatch.setattr(continuum, "_shard", shard)
     rng = make_stream(37, 0, "t")
@@ -710,7 +741,7 @@ def test_a_shard_holds_one_float_block_beside_x_plus_x(monkeypatch):
     m = int(round(continuum._default_grid_span(1.0, 0.0) / dt))
     tracemalloc.start()
     try:
-        _shard(1.0, 0.0, dt, m, 300, make_stream(3, 0, "mem"), True, np.array([1.0]))
+        _shard(1.0, 0.0, dt, m, 300, make_stream(3, 0, "mem"), np.array([1.0]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -755,6 +786,41 @@ def test_lamperti_marginals_rejects_nonpositive_x(x):
 def test_nonpositive_x_is_rejected_before_any_draw(entry, x):
     with pytest.raises(ValueError, match="need x > 0"):
         entry(x, _NoDraws())
+
+
+_STARTS = {
+    "DeterministicLimit": lambda x, lam, rng: DeterministicLimit(x, lam),
+    "hitting_ensemble": lambda x, lam, rng: hitting_ensemble(x, lam, 1e-3, 1.0, 3, rng),
+    "lamperti_marginals": lambda x, lam, rng: lamperti_marginals(x, lam, 1e-3, 1.0, 3, rng),
+    "lamperti_route": lambda x, lam, rng: lamperti_route(x, lam, 1e-3, 1.0, rng),
+    "sde_ensemble": lambda x, lam, rng: sde_ensemble(np.full(3, x), lam, 1e-3, 10, rng),
+    "simulate_sde": lambda x, lam, rng: simulate_sde(x, lam, 1e-3, 1.0, rng),
+}
+
+
+@pytest.mark.parametrize("x,lam", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan),
+                                   (1.0, math.inf), (1.0, -math.inf)],
+                         ids=["x-inf", "x-nan", "lam-nan", "lam-inf", "lam-minus-inf"])
+@pytest.mark.parametrize("entry", sorted(_STARTS))
+def test_a_non_finite_start_or_drift_is_rejected_before_any_draw(entry, x, lam):
+    # unchecked, lam = -inf gave NaN hitting times not marked truncated, lam =
+    # nan or inf and x = inf marked every path truncated, and z0 = inf gave
+    # NaN SDE finals counted alive
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="need x > 0, with x and lam finite"):
+        _STARTS[entry](x, lam, _NoDraws())
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("x,lam", [(1e-20, 1.0), (1e308, 0.0), (1.0, 1e200)],
+                         ids=["x-tiny", "x-huge", "lam-huge"])
+def test_deterministic_c_says_where_it_is_undefined(x, lam):
+    # sqrt(2x + lam**2) rounds to |lam| or overflows: c once raised a bare
+    # "math domain error" or returned NaN; t0 stays readable
+    lim = DeterministicLimit(x, lam)
+    assert not math.isnan(lim.t0)
+    with pytest.raises(ValueError, match=re.escape(f"x = {x}, lam = {lam}")):
+        lim.c(0.0)
 
 
 @pytest.mark.parametrize("dt,n_steps,error", [
@@ -827,13 +893,14 @@ def test_halving_dt_keeps_route_agreement_within_noise():
     assert abs(stats[0] - stats[1]) <= floor
 
 
-def test_hitting_time_positive_and_bridge_orders_pathwise():
+def test_hitting_time_positive_and_bridge_orders_pathwise(monkeypatch):
     # the same draws are consumed with the bridge test on or off, so the two
     # runs couple pathwise under a common stream
     T_bridge, _ = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 500, make_stream(13, 0, "h"))
+    monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
     T_grid, _ = _first_passage(
-        1.0, 0.0, 1e-3, 8000, 500, make_stream(13, 0, "h"), bridge=False
-    )
+        1.0, 0.0, 1e-3, 8000, 500, make_stream(13, 0, "h"), np.empty(0)
+    )[:2]
     assert np.all(T_bridge > 0)
     assert np.all(T_bridge <= T_grid)
     assert 0 < (T_grid - T_bridge).mean() < 0.2
