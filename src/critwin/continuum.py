@@ -18,7 +18,10 @@ statistically by the verification suites:
 `_first_passage` draws X a block at a time, finds the first passage of x + X to
 zero and runs the Lamperti clock on the paths still owing a time, so no X grid
 is stored; a hitting ensemble asks for no times and runs no clock.  The bridge
-test always runs, and its uniforms are always drawn.
+test always runs, and its uniforms are always drawn.  Each block is worked in
+row chunks of about `_CHUNK` cells, in two passes, one over its normals and one
+over its uniforms, so its draws come in the order of two whole-block draws and
+only the rows the clock still owes keep x + X between the passes.
 `sample_parabolic_bm` draws the same X directly, as one recorded path; a test
 holds the two equal on the same normals.  A `_first_passage` call runs its
 paths as two shards on two streams, one on a thread that calls nothing
@@ -28,7 +31,7 @@ One crossing convention holds throughout: a crossing seen on the grid is
 placed by linear interpolation inside its cell, and a crossing between grid
 points detected by the Brownian-bridge test (probability exp(-2ab/dt) for a
 cell with positive endpoints a, b) is placed at the cell midpoint.  The test
-takes `exp` only on cells with ab < 373 dt (`_bridge_fired`): beyond, the
+takes `exp` only on cells with ab < 373 dt (`_bridge_test`): beyond, the
 probability is exactly 0.0 in float64.
 
 `sde_ensemble` steps its paths on the calling thread while a `_DrawAhead`
@@ -85,8 +88,11 @@ def _grid_steps(dt: float, t_max: float) -> int:
     return int(round(t_max / dt))
 
 
-_BLOCK = 500_000  # normals per block over one shard's live paths: the lamperti suite peaks
-# at 86 MiB RSS with it and at 126 MiB with 1_000_000
+_BLOCK = 500_000  # normals per block over one shard's live paths: the clock keeps a block of
+# x + X on its owing rows, about half a Lamperti shard's traced peak at the lamperti suite's size
+_CHUNK = 1 << 17  # cells per row chunk of a block: 1 MiB per float array, under a core's 2 MiB
+# L2; at 32_768 the many small numpy calls pass the GIL between the two shards' threads, and
+# some two-shard calls ran up to 15 % slower
 
 
 def _ratio(num, y):
@@ -109,26 +115,32 @@ def _cell_time(a, b, w):
 _BRIDGE_REACH = 373  # exp(-2ab/dt) is exactly 0.0 in float64 wherever ab >= 373 dt
 
 
-def _bridge_fired(left, right, dt: float, rng: RngStream, out):
-    """Into the bool array ``out``: the cells whose bridge crosses, where both
-    endpoints are > 0 and u < exp(-2ab/dt) with ab = left * right and u the
-    block of ``rng.random(out.shape)``, drawn here once ab is spent.
+def _bridge_test(left, right, dt: float):
+    """The bridge test on the cells running from ``left`` to ``right``, as a
+    function of their uniforms u, drawn later: it returns the bool array of
+    the cells whose bridge crosses, where both endpoints are > 0 and
+    u < exp(-2ab/dt) with ab = left * right.
 
     Past ab >= `_BRIDGE_REACH` dt the exponent is <= -746, beyond float64's
-    underflow to 0.0 near -745.13, and no u >= 0 fires, so `exp` is taken only
-    on the gathered cells below that; there it rounds as on the whole block.
+    underflow to 0.0 near -745.13, and no u >= 0 fires, so only the cells
+    below that are kept, with `exp` taken on them alone; there it rounds as
+    on all the cells.
     """
     ab = np.multiply(left, right)
-    fired = np.less(ab, _BRIDGE_REACH * dt, out=out)
-    fired &= left > 0.0
-    fired &= right > 0.0
-    cells = np.flatnonzero(fired)
+    near = ab < _BRIDGE_REACH * dt
+    near &= left > 0.0
+    near &= right > 0.0
+    cells = np.flatnonzero(near)
     prob = ab.ravel()[cells]
-    del ab
     prob *= -2.0
     prob /= dt
     np.exp(prob, out=prob)
-    fired.ravel()[cells] = rng.random(out.shape).ravel()[cells] < prob
+
+    def fired(u):
+        out = np.zeros(u.shape, dtype=bool)
+        out.ravel()[cells] = u.ravel()[cells] < prob
+        return out
+
     return fired
 
 
@@ -174,17 +186,23 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
 
 def _shard(x, lam, dt, m, n_paths, rng, t_at):
     """One shard of `_first_passage`: ``n_paths`` paths, all drawn from ``rng``.
-    Each block draws a (live paths, columns) array of standard normals and
-    turns their running sum, carried across block edges, into x + X over its
-    columns in place, then draws a same-shaped array of bridge uniforms (in
-    `_bridge_fired`, once its products ab are spent, so the two blocks are
-    never held at once).  A path retires after the block in which x + X
-    reaches zero on the grid, so the live set and the draws do not depend
-    on the bridge test's outcome.  The earliest event is kept: a grid
-    crossing placed by linear interpolation inside its cell, or a cell with
-    positive endpoints a, b crossing with probability exp(-2ab/dt), placed
-    at the cell midpoint; the bridge test removes the O(sqrt(dt)) late bias
-    of grid-only detection.  Paths with no event are truncated at m*dt.
+    Each block takes a (live paths, columns) array of standard normals, then
+    a same-shaped array of bridge uniforms, and works in chunks of rows of
+    about `_CHUNK` cells, at least one row, in two passes.  The first draws
+    each chunk's normals, turns their running sum, carried across block
+    edges, into x + X over the block's columns in place, places its grid
+    crossings and gathers its cells for `_bridge_test`; the second draws each
+    chunk's uniforms, fires its gathered cells and runs the clock on its rows.
+    So the normals and the uniforms come row by row, in the order of two
+    whole-block draws: the chunk size changes no value, and only the rows the
+    clock still owes keep x + X between the passes.  A path retires after
+    the block in which x + X reaches zero on the grid, so the live set and the
+    draws do not depend on the bridge test's outcome.  The earliest event is
+    kept: a grid crossing placed by linear interpolation inside its cell, or
+    a cell with positive endpoints a, b crossing with probability
+    exp(-2ab/dt), placed at the cell midpoint; the bridge test removes the
+    O(sqrt(dt)) late bias of grid-only detection.  Paths with no event are
+    truncated at m*dt.
 
     At the sorted times ``t_at`` >= 0, C solves dC/dt = x + X(C) exactly on
     the piecewise-linear interpolant: a cell from a to b takes `_cell_time`,
@@ -193,9 +211,9 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     dt, below which it only crawls towards a crossing it cannot resolve, or
     at a bridge midpoint, whichever comes first.  The clock runs on the rows
     still owing a value and draws nothing; with an empty ``t_at`` (a hitting
-    ensemble) it never runs.  Returns (t_cross, truncated, z, c), z and c of
-    shape (n_paths, t_at.size); a path whose grid ends before a time reads
-    the grid's end there.
+    ensemble) it never runs and no x + X is kept.  Returns (t_cross,
+    truncated, z, c), z and c of shape (n_paths, t_at.size); a path whose
+    grid ends before a time reads the grid's end there.
     """
     sq = math.sqrt(dt)
     t_cross = np.full(n_paths, np.inf)
@@ -208,40 +226,49 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     hi = 0
     while hi < m and live.size:
         lo, hi = hi, min(m, hi + max(1, _BLOCK // live.size))
-        s = np.empty((live.size, hi - lo + 1))
-        s[:, 0] = walk_end[live]
-        s[:, 1:] = rng.standard_normal((live.size, hi - lo))
-        np.cumsum(s, axis=1, out=s)
-        walk_end[live] = s[:, -1]
-        s *= sq  # in place: x + X on the block's columns, left edge included
-        s += _drift(lam, np.arange(lo, hi + 1) * dt)
-        s += x
-        t_new = np.full(live.size, np.inf)
-        neg = s[:, 1:] <= 0.0
-        crossed = neg.any(axis=1)
-        r = np.flatnonzero(crossed)
-        j = np.argmax(neg[r], axis=1)
-        a, b = s[r, j], s[r, j + 1]
-        t_new[r] = (lo + j + a / (a - b)) * dt
-        fired = _bridge_fired(s[:, :-1], s[:, 1:], dt, rng, out=neg)  # neg is spent
-        r = np.flatnonzero(fired.any(axis=1))
-        t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
-        t_new[r] = np.minimum(t_new[r], t_fire)
-        t_cross[live] = np.minimum(t_cross[live], t_new)
-        own = np.flatnonzero(done[live] < t_at.size)  # rows still owing values
-        if own.size:
-            p, sv = live[own], (s if own.size == live.size else s[own])
-            del s  # spent: sv is the one block the clock holds
+        rows = max(1, _CHUNK // (hi - lo))
+        drift = _drift(lam, np.arange(lo, hi + 1) * dt)
+        chunks = [live[i : i + rows] for i in range(0, live.size, rows)]
+        crossed, kept = [], []
+        for p in chunks:  # the block's normals
+            s = np.empty((p.size, hi - lo + 1))
+            s[:, 0] = walk_end[p]
+            s[:, 1:] = rng.standard_normal((p.size, hi - lo))
+            np.cumsum(s, axis=1, out=s)
+            walk_end[p] = s[:, -1]
+            s *= sq  # in place: x + X on the block's columns, left edge included
+            s += drift
+            s += x
+            neg = s[:, 1:] <= 0.0
+            crossed.append(neg.any(axis=1))
+            r = np.flatnonzero(crossed[-1])
+            j = np.argmax(neg[r], axis=1)
+            a, b = s[r, j], s[r, j + 1]
+            t_cross[p[r]] = np.minimum(t_cross[p[r]], (lo + j + a / (a - b)) * dt)
+            own = np.flatnonzero(done[p] < t_at.size)  # rows still owing values
+            kept.append((_bridge_test(s[:, :-1], s[:, 1:], dt), own,
+                         s if own.size == p.size else s[own]))
+            del s  # spent unless kept whole
+        for i, p in enumerate(chunks):  # then its uniforms
+            bridge, own, sv = kept[i]
+            kept[i] = None
+            fired = bridge(rng.random((p.size, hi - lo)))
+            r = np.flatnonzero(fired.any(axis=1))
+            t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
+            t_cross[p[r]] = np.minimum(t_cross[p[r]], t_fire)
+            if not own.size:
+                continue
+            p, fired = p[own], fired[own]
             stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
             stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
-            stop |= fired[own]
+            stop |= fired
             hit = np.flatnonzero(stop.any(axis=1))
             k = np.argmax(stop[hit], axis=1)  # the absorbing cell
             a, b = sv[hit, k], sv[hit, k + 1]
             np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
             f = (a > dt).astype(np.float64)  # share of it run before absorption
             np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
-            np.minimum(f, 0.5, out=f, where=fired[own[hit], k])
+            np.minimum(f, 0.5, out=f, where=fired[hit, k])
             tick = _cell_time(sv[:, :-1], sv[:, 1:], dt)
             tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
             tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
@@ -251,19 +278,19 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
             tick += start[:, None]  # the clock at each cell's right end
             clock[p] = tick[:, -1]
             due = np.searchsorted(t_at, clock[p], side="right")
-            for i in np.flatnonzero(due > done[p]):
-                n = np.arange(done[p[i]], due[i])
-                j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
-                spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
-                a0 = sv[i, j]
-                y = (sv[i, j + 1] - a0) / dt * spent
-                z_at[p[i], n] = a0 * np.exp(y)
-                c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
+            for q in np.flatnonzero(due > done[p]):
+                n = np.arange(done[p[q]], due[q])
+                j = np.searchsorted(tick[q], t_at[n])  # the cell holding each time
+                spent = t_at[n] - np.where(j > 0, tick[q, j - 1], start[q])
+                a0 = sv[q, j]
+                y = (sv[q, j + 1] - a0) / dt * spent
+                z_at[p[q], n] = a0 * np.exp(y)
+                c_at[p[q], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
             done[p] = due
             after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
             c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
             done[p[hit]] = t_at.size
-        live = live[~crossed]
+        live = live[~np.concatenate(crossed)]
     truncated = np.isinf(t_cross)
     t_cross[truncated] = m * dt
     short = np.arange(t_at.size) >= done[:, None]  # past the end of the grid
@@ -275,7 +302,11 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
 def sample_parabolic_bm(
     lam: float, x_offset: float, dt: float, t_max: float, rng: RngStream
 ) -> np.ndarray:
-    """x_offset + X on the grid 0, dt, ..., ~t_max via exact Gaussian increments."""
+    """x_offset + X on the grid 0, dt, ..., ~t_max via exact Gaussian increments.
+    ValueError before any draw unless ``lam`` and ``x_offset`` (which may be 0)
+    are finite."""
+    if not (math.isfinite(lam) and math.isfinite(x_offset)):
+        raise ValueError(f"need lam and x_offset finite, got lam={lam}, x_offset={x_offset}")
     m = _grid_steps(dt, t_max)
     path = np.zeros(m + 1)
     rng.standard_normal(out=path[1:])

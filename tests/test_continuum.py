@@ -276,12 +276,10 @@ class _SplitRng:
         return self._uniform.random(size)
 
 
-def _grid_only(left, right, dt, rng, out):
-    """`_bridge_fired` with the bridge test off: the block's uniforms are
-    drawn as the test draws them, and no cell fires."""
-    rng.random(out.shape)
-    out[...] = False
-    return out
+def _grid_only(left, right, dt):
+    """`_bridge_test` with the bridge test off: the kernel still draws the
+    block's uniforms, and no cell fires."""
+    return lambda u: np.zeros(u.shape, dtype=bool)
 
 
 def test_blockwise_generation_carries_the_walk(monkeypatch):
@@ -303,7 +301,7 @@ def test_grid_crossings_interpolate_across_block_edges(monkeypatch):
     # first cell where x + X reaches zero on the path that
     # `sample_parabolic_bm` draws from the same normals
     monkeypatch.setattr(continuum, "_BLOCK", 7)
-    monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
+    monkeypatch.setattr(continuum, "_bridge_test", _grid_only)
     x, dt = 1.0, 1e-2
     first_cells = 0
     for seed in range(16):
@@ -428,18 +426,9 @@ def _bridge_cells(dt):
 def test_bridge_rule_equals_the_full_formula(dt):
     # exp is taken only where ab < 373 dt; the cells as the whole-block
     # formula gives them, on crafted edges and on a random block
-    class Uniforms:  # a stream whose one block of uniforms is u
-        def __init__(self, u):
-            self.u = u
-
-        def random(self, size):
-            assert size == self.u.shape
-            return self.u
-
     def both(left, right, u):
         full = (u < np.exp(-2 * np.maximum(left * right, 0) / dt)) & (left > 0) & (right > 0)
-        got = continuum._bridge_fired(left, right, dt, Uniforms(u),
-                                      out=np.empty(u.shape, dtype=bool))
+        got = continuum._bridge_test(left, right, dt)(u)
         assert np.array_equal(got, full)
         return got
 
@@ -499,7 +488,7 @@ _SPLIT_PINS = {  # (stream seed, call, digest) at the shard split's edge sizes
 @pytest.mark.parametrize("case", sorted(_SPLIT_PINS))
 def test_split_edge_sizes_bytes_pinned(monkeypatch, case):
     if case.startswith("no-bridge"):
-        monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
+        monkeypatch.setattr(continuum, "_bridge_test", _grid_only)
     seed, call, digest = _SPLIT_PINS[case]
     assert _digest(*call(make_stream(seed, 0, "pin"))) == digest
 
@@ -521,6 +510,34 @@ def test_small_blocks_bytes_pinned(monkeypatch, case, digest):
         out = hitting_ensemble(1.0, 0.0, 1e-2, 8.0, 301, rng)
     assert _digest(*out) == digest
     assert 1 in rng.rows and any(r % 2 for r in rng.rows if r > 1)
+
+
+_CHUNK_CALLS = {
+    "hitting": lambda rng: hitting_ensemble(1.0, 0.0, 1e-2, 8.0, 301, rng),
+    "hitting-steep": lambda rng: hitting_ensemble(0.5, -2.0, 1e-3, 3.0, 41, rng),
+    "lamperti": lambda rng: lamperti_marginals(1.0, -1.0, 1e-2, 2.0, 301, rng),
+    "clock": lambda rng: _first_passage(1.0, 0.5, 1e-2, 600, 41, rng,
+                                        np.array([0.0, 0.25, 1.0, 2.0, 9.0])),
+    "clock-one-path": lambda rng: _first_passage(0.5, 1.0, 1e-3, 4000, 1, rng,
+                                                 np.array([0.1, 0.5, 1.5])),
+}
+
+
+@pytest.mark.parametrize("block", [500_000, 997, 97])
+@pytest.mark.parametrize("entry", sorted(_CHUNK_CALLS))
+def test_row_chunks_change_no_byte(monkeypatch, entry, block):
+    # a block's normals, then its uniforms, come chunk by chunk in the order
+    # of two whole-block draws, so one row per chunk, many chunks to a block,
+    # gives the outputs and end stream state of the default chunk
+    monkeypatch.setattr(continuum, "_BLOCK", block)
+    runs = []
+    for chunk in (continuum._CHUNK, 1):
+        monkeypatch.setattr(continuum, "_CHUNK", chunk)
+        rng = _RowRecorder(make_stream(42, 0, "chunk"))
+        runs.append((_digest(*_CHUNK_CALLS[entry](rng)), repr(rng.bit_generator.state),
+                     rng.rows))
+    assert runs[0][:2] == runs[1][:2]
+    assert max(runs[1][2]) == 1 and len(runs[1][2]) >= len(runs[0][2])
 
 
 class _Boom(Exception):
@@ -565,7 +582,7 @@ def test_the_shards_are_two_serial_runs_on_two_streams(monkeypatch, n_paths, t_a
     # shard on the caller's stream, the rest a shard on its jump, and the
     # caller's stream ends where the second shard leaves the jump
     if not bridge:
-        monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
+        monkeypatch.setattr(continuum, "_bridge_test", _grid_only)
     args = (1.0, 0.5, 1e-2, 600)
     rng, ref = make_stream(36, 0, "layout"), make_stream(36, 0, "layout")
     out = _first_passage(*args, n_paths, rng, t_at)
@@ -731,21 +748,23 @@ def test_lamperti_marginals_stores_no_x_grid():
     assert peak <= 0.4 * x_chunk
 
 
-def test_a_shard_holds_one_float_block_beside_x_plus_x(monkeypatch):
-    # the bridge's products are spent before its uniforms are drawn, and the
-    # clock works on the block of x + X itself or on its owing rows alone:
-    # 4.6 blocks at the peak, where holding products and uniforms at once, or
-    # the clock's copy beside the block, gave 5.5
-    monkeypatch.setattr(continuum, "_BLOCK", 200_000)
-    dt = 1e-4
+@pytest.mark.parametrize("t_at,blocks", [(np.array([1.0]), 3.0), (np.empty(0), 2.0)],
+                         ids=["lamperti", "hitting"])
+def test_a_shard_holds_about_one_block_of_x_plus_x(monkeypatch, t_at, blocks):
+    # a block is worked in row chunks of a sixth of it, and only the rows the
+    # clock owes keep x + X between the passes: 2.1 and 1.2 blocks at the
+    # peak, where whole-block temporaries gave 5.1 and 3.1
+    monkeypatch.setattr(continuum, "_BLOCK", 50_000)
+    monkeypatch.setattr(continuum, "_CHUNK", 8_192)
+    dt = 1e-3
     m = int(round(continuum._default_grid_span(1.0, 0.0) / dt))
     tracemalloc.start()
     try:
-        _shard(1.0, 0.0, dt, m, 300, make_stream(3, 0, "mem"), np.array([1.0]))
+        _shard(1.0, 0.0, dt, m, 300, make_stream(3, 0, "mem"), t_at)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 200_000 * 8
+    assert peak <= blocks * 50_000 * 8
 
 
 @pytest.mark.parametrize("x,lam", [(1e-6, 0.0), (1.0, -3.0), (0.05, -5.0)])
@@ -810,6 +829,16 @@ def test_a_non_finite_start_or_drift_is_rejected_before_any_draw(entry, x, lam):
     with pytest.raises(ValueError, match="need x > 0, with x and lam finite"):
         _STARTS[entry](x, lam, _NoDraws())
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("lam,offset", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                        (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf)],
+                         ids=["lam-nan", "lam-inf", "lam-minus-inf", "offset-nan", "offset-inf",
+                              "offset-minus-inf"])
+def test_parabolic_bm_rejects_a_non_finite_drift_or_offset_before_any_draw(lam, offset):
+    # unchecked, lam = nan gave a path of NaN and an offset of inf a path of inf
+    with pytest.raises(ValueError, match="need lam and x_offset finite"):
+        sample_parabolic_bm(lam, offset, 0.1, 0.3, _NoDraws())
 
 
 @pytest.mark.parametrize("x,lam", [(1e-20, 1.0), (1e308, 0.0), (1.0, 1e200)],
@@ -897,7 +926,7 @@ def test_hitting_time_positive_and_bridge_orders_pathwise(monkeypatch):
     # the same draws are consumed with the bridge test on or off, so the two
     # runs couple pathwise under a common stream
     T_bridge, _ = hitting_ensemble(1.0, 0.0, 1e-3, 8.0, 500, make_stream(13, 0, "h"))
-    monkeypatch.setattr(continuum, "_bridge_fired", _grid_only)
+    monkeypatch.setattr(continuum, "_bridge_test", _grid_only)
     T_grid, _ = _first_passage(
         1.0, 0.0, 1e-3, 8000, 500, make_stream(13, 0, "h"), np.empty(0)
     )[:2]

@@ -8,7 +8,9 @@ unchanged, once per checkout, in a fresh process; the checkout that goes first
 alternates from seed to seed, so neither side always runs on a warmer box.
 Each run's two output lines (detail and result) are kept.  One record per
 checkout is written to the current directory, with the median and the
-interquartile range of each end-to-end metric per workload.
+interquartile range, per workload, of each end-to-end metric, of each other
+figure of the detail line (``figures``: per-suite or per-command seconds such
+as ``lamperti_s``) and of the number of passes a run made (``passes``).
 """
 from __future__ import annotations
 
@@ -33,18 +35,27 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "detail": json.loads(detail), "result": json.loads(result)}
 
 
+def _stats(values: list) -> dict:
+    values = sorted(values)
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1, "values": values}
+
+
 def _summary(runs: list, workloads: list) -> dict:
     out = {}
     for workload in workloads:
-        results = [r["result"] for r in runs if r["workload"] == workload]
+        mine = [r for r in runs if r["workload"] == workload]
+        results = [r["result"] for r in mine]
+        details = [r["detail"] for r in mine]
         out[workload] = {"runs": len(results),
                          "failed": sum(r["failed"] for r in results),
                          "attempted": sum(r["attempted"] for r in results)}
         for name in results[0]["metrics"]:
-            values = sorted(r["metrics"][name]["value"] for r in results)
-            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            out[workload][name] = {"median": statistics.median(values), "iqr": q3 - q1,
-                                   "values": values}
+            out[workload][name] = _stats([r["metrics"][name]["value"] for r in results])
+        out[workload]["figures"] = {
+            name: _stats([d["figures"][name]["value"] for d in details])
+            for name in details[0]["figures"] if name not in results[0]["metrics"]}
+        out[workload]["passes"] = _stats([len(d["passes"]) for d in details])
     return out
 
 
