@@ -249,9 +249,8 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
             kept.append((_bridge_test(s[:, :-1], s[:, 1:], dt), own,
                          s if own.size == p.size else s[own]))
             del s  # spent unless kept whole
-        for i, p in enumerate(chunks):  # then its uniforms
-            bridge, own, sv = kept[i]
-            kept[i] = None
+        for p in chunks:  # then its uniforms
+            bridge, own, sv = kept.pop(0)  # each chunk's rows go once its clock has run
             fired = bridge(rng.random((p.size, hi - lo)))
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
@@ -278,14 +277,14 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
             tick += start[:, None]  # the clock at each cell's right end
             clock[p] = tick[:, -1]
             due = np.searchsorted(t_at, clock[p], side="right")
-            for q in np.flatnonzero(due > done[p]):
-                n = np.arange(done[p[q]], due[q])
-                j = np.searchsorted(tick[q], t_at[n])  # the cell holding each time
-                spent = t_at[n] - np.where(j > 0, tick[q, j - 1], start[q])
-                a0 = sv[q, j]
-                y = (sv[q, j + 1] - a0) / dt * spent
-                z_at[p[q], n] = a0 * np.exp(y)
-                c_at[p[q], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
+            for i in np.flatnonzero(due > done[p]):
+                n = np.arange(done[p[i]], due[i])
+                j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
+                spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
+                a0 = sv[i, j]
+                y = (sv[i, j + 1] - a0) / dt * spent
+                z_at[p[i], n] = a0 * np.exp(y)
+                c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
             done[p] = due
             after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
             c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
