@@ -92,7 +92,7 @@ _BLOCK = 500_000  # normals per block over one shard's live paths: the clock kee
 # x + X on its owing rows, about half a Lamperti shard's traced peak at the lamperti suite's size
 _CHUNK = 1 << 17  # cells per row chunk of a block: 1 MiB per float array, under a core's 2 MiB
 # L2; at 32_768 the many small numpy calls pass the GIL between the two shards' threads, and
-# some two-shard calls ran up to 15 % slower
+# two-shard calls at the suites' sizes ran about 15 % slower on two cores
 
 
 def _ratio(num, y):
