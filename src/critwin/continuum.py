@@ -20,8 +20,12 @@ zero and runs the Lamperti clock on the paths still owing a time, so no X grid
 is stored; a hitting ensemble asks for no times and runs no clock.  The bridge
 test always runs, and its uniforms are always drawn.  Each block is worked in
 row chunks of about `_CHUNK` cells, in two passes, one over its normals and one
-over its uniforms, so its draws come in the order of two whole-block draws and
-only the rows the clock still owes keep x + X between the passes.
+over its uniforms, so its draws come in the order of two whole-block draws.
+The normals pass runs the clock on the owing rows as if no bridge fires; only
+the owing rows whose bridge may fire keep x + X between the passes, and the
+uniforms pass runs their clock again, from the block's left edge, with their
+fired cells.  Those rows reach below sqrt(373 dt): 0.19 at dt = 1e-4, so few
+are kept there, but 0.61 at dt = 1e-3.
 `sample_parabolic_bm` draws the same X directly, as one recorded path; a test
 holds the two equal on the same normals.  A `_first_passage` call runs its
 paths as two shards on two streams, one on a thread that calls nothing
@@ -88,8 +92,8 @@ def _grid_steps(dt: float, t_max: float) -> int:
     return int(round(t_max / dt))
 
 
-_BLOCK = 500_000  # normals per block over one shard's live paths: the clock keeps a block of
-# x + X on its owing rows, about half a Lamperti shard's traced peak at the lamperti suite's size
+_BLOCK = 500_000  # normals per block over one shard's live paths; between its two passes a
+# block keeps its gathered bridge cells, and x + X on the owing rows whose bridge may fire
 _CHUNK = 1 << 17  # cells per row chunk of a block: 1 MiB per float array, under a core's 2 MiB
 # L2; at 32_768 the many small numpy calls pass the GIL between the two shards' threads, and
 # two-shard calls at the suites' sizes ran about 15 % slower on two cores
@@ -102,11 +106,12 @@ def _ratio(num, y):
     return num
 
 
-def _cell_time(a, b, w):
+def _cell_time(a, b, w, out=None, scratch=None):
     """Time the time change takes to cross a cell of width w on which x + X
-    runs linearly from a to b (both > 0): w (ln b - ln a) / (b - a)."""
-    r = b / a  # ln(r) / (r - 1) stays accurate for b near a and for b << a
-    t = _ratio(np.log(r), np.subtract(r, 1.0, out=r))
+    runs linearly from a to b (both > 0): w (ln b - ln a) / (b - a), in
+    ``out`` if given, with b / a in ``scratch`` if given."""
+    r = np.divide(b, a, out=scratch)  # ln(r) / (r - 1) stays accurate for b near a and for b << a
+    t = _ratio(np.log(r, out=out), np.subtract(r, 1.0, out=r))
     t *= w
     t /= a
     return t
@@ -115,21 +120,24 @@ def _cell_time(a, b, w):
 _BRIDGE_REACH = 373  # exp(-2ab/dt) is exactly 0.0 in float64 wherever ab >= 373 dt
 
 
-def _bridge_test(left, right, dt: float):
-    """The bridge test on the cells running from ``left`` to ``right``, as a
-    function of their uniforms u, drawn later: it returns the bool array of
-    the cells whose bridge crosses, where both endpoints are > 0 and
-    u < exp(-2ab/dt) with ab = left * right.
+def _bridge_test(left, right, dt: float, out=None):
+    """The bridge test on the (rows, cells) running from ``left`` to
+    ``right``: (may_fire, fired), the bool array of the rows that hold a
+    gathered cell, and the function of the cells' uniforms u, drawn later,
+    that returns the bool array of the cells whose bridge crosses, where both
+    endpoints are > 0 and u < exp(-2ab/dt) with ab = left * right, formed in
+    ``out`` if given.
 
     Past ab >= `_BRIDGE_REACH` dt the exponent is <= -746, beyond float64's
     underflow to 0.0 near -745.13, and no u >= 0 fires, so only the cells
-    below that are kept, with `exp` taken on them alone; there it rounds as
-    on all the cells.
+    below that are gathered, with `exp` taken on them alone; there it rounds
+    as on all the cells.
     """
-    ab = np.multiply(left, right)
+    ab = np.multiply(left, right, out=out)
     near = ab < _BRIDGE_REACH * dt
     near &= left > 0.0
     near &= right > 0.0
+    may_fire = near.any(axis=-1)
     cells = np.flatnonzero(near)
     prob = ab.ravel()[cells]
     prob *= -2.0
@@ -141,7 +149,7 @@ def _bridge_test(left, right, dt: float):
         out.ravel()[cells] = u.ravel()[cells] < prob
         return out
 
-    return fired
+    return may_fire, fired
 
 
 def _checked_start(x, lam) -> None:
@@ -191,11 +199,19 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     about `_CHUNK` cells, at least one row, in two passes.  The first draws
     each chunk's normals, turns their running sum, carried across block
     edges, into x + X over the block's columns in place, places its grid
-    crossings and gathers its cells for `_bridge_test`; the second draws each
-    chunk's uniforms, fires its gathered cells and runs the clock on its rows.
-    So the normals and the uniforms come row by row, in the order of two
-    whole-block draws: the chunk size changes no value, and only the rows the
-    clock still owes keep x + X between the passes.  A path retires after
+    crossings, gathers its cells for `_bridge_test` and runs the clock on its
+    owing rows as if no bridge fires; the second draws each chunk's uniforms
+    and fires its gathered cells.  So the normals and the uniforms come row
+    by row, in the order of two whole-block draws, and the chunk size changes
+    no value.  Only the owing rows holding a gathered cell keep x + X between
+    the passes, with their clock, done, z_at and c_at at the block's left
+    edge; the second pass puts those back and runs their clock again with
+    their fired cells.  A row with no gathered cell fires none, and the clock
+    works row by row, so where a row's clock runs changes no byte.  The
+    cells are gathered where ab < 373 dt, so the rows kept are few at small
+    dt: an end must lie below sqrt(373 dt), 0.19 at dt = 1e-4 but 0.61 at
+    dt = 1e-3.  The clock's cell times go into the pass's spent draw array,
+    and its ratios into one array the shard reuses.  A path retires after
     the block in which x + X reaches zero on the grid, so the live set and the
     draws do not depend on the bridge test's outcome.  The earliest event is
     kept: a grid crossing placed by linear interpolation inside its cell, or
@@ -222,6 +238,52 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     c_at = np.zeros((n_paths, t_at.size))
     clock = np.zeros(n_paths)  # time-change clock at the block's left edge
     done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
+    ratios = np.empty(0)  # the clock's b / a for every chunk: fresh ones were faulted in anew
+
+    def run_clock(p, sv, fired, lo, work):
+        """The clock over paths ``p``, from their x + X ``sv`` on the block's
+        columns lo.. (changed in place) and their fired cells (None: none);
+        their cell times go into the rows of ``work``, a spent draw array.
+        Each step works row by row, so a path's values do not depend on
+        which rows share the call."""
+        nonlocal ratios
+        stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
+        stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
+        if fired is not None:
+            stop |= fired
+        hit = np.flatnonzero(stop.any(axis=1))
+        k = np.argmax(stop[hit], axis=1)  # the absorbing cell
+        a, b = sv[hit, k], sv[hit, k + 1]
+        np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
+        f = (a > dt).astype(np.float64)  # share of it run before absorption
+        np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
+        if fired is not None:
+            np.minimum(f, 0.5, out=f, where=fired[hit, k])
+        tick = work[: p.size]
+        if ratios.size < tick.size:
+            ratios = np.empty(tick.size)
+        _cell_time(sv[:, :-1], sv[:, 1:], dt, tick, ratios[: tick.size].reshape(tick.shape))
+        tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
+        tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
+        sv[hit, k], sv[hit, k + 1] = a, b  # its slope, for the closed form
+        start = clock[p]
+        np.cumsum(tick, axis=1, out=tick)
+        tick += start[:, None]  # the clock at each cell's right end
+        clock[p] = tick[:, -1]
+        due = np.searchsorted(t_at, clock[p], side="right")
+        for i in np.flatnonzero(due > done[p]):
+            n = np.arange(done[p[i]], due[i])
+            j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
+            spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
+            a0 = sv[i, j]
+            y = (sv[i, j + 1] - a0) / dt * spent
+            z_at[p[i], n] = a0 * np.exp(y)
+            c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
+        done[p] = due
+        after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
+        c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
+        done[p[hit]] = t_at.size
+
     live = np.arange(n_paths)
     hi = 0
     while hi < m and live.size:
@@ -231,9 +293,10 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
         chunks = [live[i : i + rows] for i in range(0, live.size, rows)]
         crossed, kept = [], []
         for p in chunks:  # the block's normals
+            g = rng.standard_normal((p.size, hi - lo))
             s = np.empty((p.size, hi - lo + 1))
             s[:, 0] = walk_end[p]
-            s[:, 1:] = rng.standard_normal((p.size, hi - lo))
+            s[:, 1:] = g
             np.cumsum(s, axis=1, out=s)
             walk_end[p] = s[:, -1]
             s *= sq  # in place: x + X on the block's columns, left edge included
@@ -245,50 +308,28 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
             j = np.argmax(neg[r], axis=1)
             a, b = s[r, j], s[r, j + 1]
             t_cross[p[r]] = np.minimum(t_cross[p[r]], (lo + j + a / (a - b)) * dt)
-            own = np.flatnonzero(done[p] < t_at.size)  # rows still owing values
-            kept.append((_bridge_test(s[:, :-1], s[:, 1:], dt), own,
-                         s if own.size == p.size else s[own]))
-            del s  # spent unless kept whole
+            may_fire, bridge = _bridge_test(s[:, :-1], s[:, 1:], dt, out=g)
+            owing = done[p] < t_at.size
+            again = np.flatnonzero(owing & may_fire)  # rows whose clock runs again
+            kept.append((bridge, again, s[again],  # with their state at the left edge
+                         (clock[p[again]], done[p[again]], z_at[p[again]], c_at[p[again]])))
+            own = np.flatnonzero(owing)
+            if own.size < p.size:
+                s = s[own]  # and the chunk's x + X is freed
+            if own.size:  # as if no bridge fires
+                run_clock(p[own], s, None, lo, g)
+            del s, g  # spent
         for p in chunks:  # then its uniforms
-            bridge, own, sv = kept.pop(0)  # each chunk's rows go once its clock has run
-            fired = bridge(rng.random((p.size, hi - lo)))
+            bridge, again, sv, state = kept.pop(0)  # each chunk's rows go once its clock has run
+            u = rng.random((p.size, hi - lo))
+            fired = bridge(u)
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_cross[p[r]] = np.minimum(t_cross[p[r]], t_fire)
-            if not own.size:
-                continue
-            p, fired = p[own], fired[own]
-            stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
-            stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
-            stop |= fired
-            hit = np.flatnonzero(stop.any(axis=1))
-            k = np.argmax(stop[hit], axis=1)  # the absorbing cell
-            a, b = sv[hit, k], sv[hit, k + 1]
-            np.maximum(sv, dt, out=sv)  # unchanged before the absorbing cell
-            f = (a > dt).astype(np.float64)  # share of it run before absorption
-            np.divide(a - dt, a - b, out=f, where=(a > dt) & (b <= dt))
-            np.minimum(f, 0.5, out=f, where=fired[hit, k])
-            tick = _cell_time(sv[:, :-1], sv[:, 1:], dt)
-            tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
-            tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
-            sv[hit, k], sv[hit, k + 1] = a, b  # its slope, for the closed form
-            start = clock[p]
-            np.cumsum(tick, axis=1, out=tick)
-            tick += start[:, None]  # the clock at each cell's right end
-            clock[p] = tick[:, -1]
-            due = np.searchsorted(t_at, clock[p], side="right")
-            for i in np.flatnonzero(due > done[p]):
-                n = np.arange(done[p[i]], due[i])
-                j = np.searchsorted(tick[i], t_at[n])  # the cell holding each time
-                spent = t_at[n] - np.where(j > 0, tick[i, j - 1], start[i])
-                a0 = sv[i, j]
-                y = (sv[i, j + 1] - a0) / dt * spent
-                z_at[p[i], n] = a0 * np.exp(y)
-                c_at[p[i], n] = (lo + j) * dt + a0 * spent * _ratio(np.expm1(y), y)
-            done[p] = due
-            after = np.arange(t_at.size) >= due[hit, None]  # absorbed by then
-            c_at[p[hit]] = np.where(after, ((lo + k + f) * dt)[:, None], c_at[p[hit]])
-            done[p[hit]] = t_at.size
+            if again.size:  # back to the left edge, then the clock with the fired cells
+                clock[p[again]], done[p[again]], z_at[p[again]], c_at[p[again]] = state
+                run_clock(p[again], sv, fired[again], lo, u)
+            del u  # spent
         live = live[~np.concatenate(crossed)]
     truncated = np.isinf(t_cross)
     t_cross[truncated] = m * dt

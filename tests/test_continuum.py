@@ -276,10 +276,10 @@ class _SplitRng:
         return self._uniform.random(size)
 
 
-def _grid_only(left, right, dt):
-    """`_bridge_test` with the bridge test off: the kernel still draws the
-    block's uniforms, and no cell fires."""
-    return lambda u: np.zeros(u.shape, dtype=bool)
+def _grid_only(left, right, dt, out=None):
+    """`_bridge_test` with the bridge test off: it gathers no cell, the
+    kernel still draws the block's uniforms, and no cell fires."""
+    return np.zeros(left.shape[0], dtype=bool), lambda u: np.zeros(u.shape, dtype=bool)
 
 
 def test_blockwise_generation_carries_the_walk(monkeypatch):
@@ -428,7 +428,7 @@ def test_bridge_rule_equals_the_full_formula(dt):
     # formula gives them, on crafted edges and on a random block
     def both(left, right, u):
         full = (u < np.exp(-2 * np.maximum(left * right, 0) / dt)) & (left > 0) & (right > 0)
-        got = continuum._bridge_test(left, right, dt)(u)
+        got = continuum._bridge_test(left, right, dt)[1](u)
         assert np.array_equal(got, full)
         return got
 
@@ -540,6 +540,53 @@ def test_row_chunks_change_no_byte(monkeypatch, entry, block):
     assert max(runs[1][2]) == 1 and len(runs[1][2]) >= len(runs[0][2])
 
 
+_BRIDGE_TEST = continuum._bridge_test
+
+
+def _may_fire_everywhere(left, right, dt, out=None):
+    """`_bridge_test` marking every row as one whose bridge may fire, so that
+    every owing row's clock runs again in the uniforms pass, from the block's
+    left edge and with its fired cells."""
+    return np.ones(left.shape[0], dtype=bool), _BRIDGE_TEST(left, right, dt, out)[1]
+
+
+def _routes(dt, rng):
+    """Eight `lamperti_route` paths on one stream, as arrays of (z, c) at t_max."""
+    paths = [lamperti_route(0.5, -1.0, dt, 1.0, rng) for _ in range(8)]
+    return np.array([p.z[-1] for p in paths]), np.array([p.c[-1] for p in paths])
+
+
+_PLACEMENT_CALLS = {  # each returns (z, c, ...) at one time
+    "marginals-1e-4": (1e-4, lambda rng: lamperti_marginals(1.0, 0.0, 1e-4, 1.0, 60, rng)),
+    "marginals-1e-2": (1e-2, lambda rng: lamperti_marginals(1.0, -1.0, 1e-2, 2.0, 301, rng)),
+    "route-1e-4": (1e-4, lambda rng: _routes(1e-4, rng)),
+    "route-1e-2": (1e-2, lambda rng: _routes(1e-2, rng)),
+}
+
+
+@pytest.mark.parametrize("block", [500_000, 997])
+@pytest.mark.parametrize("entry", sorted(_PLACEMENT_CALLS))
+def test_the_clocks_placement_changes_no_byte(monkeypatch, entry, block):
+    # the normals pass runs the clock on every owing row as if no bridge
+    # fires, and the uniforms pass runs it again on the rows whose bridge may
+    # fire; running it again on every owing row gives the same outputs and
+    # end stream state, and owing rows fire: their paths end absorbed, with C
+    # at a cell's midpoint.  Small blocks put a row's cells near zero and far
+    # from it in different blocks
+    monkeypatch.setattr(continuum, "_BLOCK", block)
+    dt, call = _PLACEMENT_CALLS[entry]
+    runs = []
+    for double in (None, _may_fire_everywhere):
+        if double is not None:
+            monkeypatch.setattr(continuum, "_bridge_test", double)
+        rng = make_stream(43, 0, "placement")
+        out = call(rng)
+        runs.append((_digest(*out), repr(rng.bit_generator.state)))
+    assert runs[0] == runs[1]
+    z, c = out[:2]
+    assert ((z == 0) & (c == (np.floor(c / dt) + 0.5) * dt)).any()
+
+
 class _Boom(Exception):
     pass
 
@@ -646,19 +693,22 @@ def test_the_helper_thread_ends_with_the_call(monkeypatch, entry, fail):
 
 
 class _DrawRecorder(_RowRecorder):
-    """A stream that keeps every normal and uniform it gives, in ``drawn``."""
+    """A stream that keeps a copy of every normal and uniform it gives, in
+    ``drawn``: the kernel works in the arrays it is given once they are spent."""
 
     def __init__(self, rng, drawn):
         super().__init__(rng)
         self.drawn = drawn
 
     def standard_normal(self, size):
-        self.drawn.append(super().standard_normal(size).ravel())
-        return self.drawn[-1].reshape(size)
+        out = super().standard_normal(size)
+        self.drawn.append(out.ravel().copy())
+        return out
 
     def random(self, size):
-        self.drawn.append(super().random(size).ravel())
-        return self.drawn[-1].reshape(size)
+        out = super().random(size)
+        self.drawn.append(out.ravel().copy())
+        return out
 
 
 @pytest.mark.parametrize("entry", sorted(_SPLIT_CALLS))
@@ -721,10 +771,10 @@ def test_a_failing_clock_on_the_shard_thread_reaches_the_caller(monkeypatch):
         callers.append(threading.current_thread())
         lamperti_marginals(1.0, 0.0, 1e-3, 1.0, 50, make_stream(34, 0, "t"))
 
-    def cell_time(a, b, w):
+    def cell_time(a, b, w, *out):
         if threading.current_thread() is not callers[0]:
             raise _Boom("upper shard")
-        return _cell_time(a, b, w)
+        return _cell_time(a, b, w, *out)
 
     monkeypatch.setattr(continuum, "_cell_time", cell_time)
     threads = threading.active_count()
@@ -748,15 +798,16 @@ def test_lamperti_marginals_stores_no_x_grid():
     assert peak <= 0.4 * x_chunk
 
 
-@pytest.mark.parametrize("t_at,blocks", [(np.array([1.0]), 3.0), (np.empty(0), 2.0)],
-                         ids=["lamperti", "hitting"])
-def test_a_shard_holds_about_one_block_of_x_plus_x(monkeypatch, t_at, blocks):
-    # a block is worked in row chunks of a sixth of it, and only the rows the
-    # clock owes keep x + X between the passes: 2.1 and 1.2 blocks at the
-    # peak, where whole-block temporaries gave 5.1 and 3.1
+@pytest.mark.parametrize("dt,t_at,blocks", [(1e-3, np.array([1.0]), 2.0),
+                                            (1e-3, np.empty(0), 1.35),
+                                            (1e-4, np.array([1.0]), 1.4)],
+                         ids=["lamperti", "hitting", "lamperti-1e-4"])
+def test_a_shard_holds_about_one_block_of_x_plus_x(monkeypatch, dt, t_at, blocks):
+    # a block is worked in row chunks of a sixth of it, and only the owing
+    # rows whose bridge may fire keep x + X between the passes: 1.8, 1.2 and
+    # 1.2 blocks at the peak; with every owing row kept, 2.1, 1.2 and 1.7
     monkeypatch.setattr(continuum, "_BLOCK", 50_000)
     monkeypatch.setattr(continuum, "_CHUNK", 8_192)
-    dt = 1e-3
     m = int(round(continuum._default_grid_span(1.0, 0.0) / dt))
     tracemalloc.start()
     try:
