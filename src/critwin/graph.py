@@ -44,6 +44,9 @@ __all__ = [
 # Steps per block of `walk_chain`: one numpy binomial call per pass over it.
 _WALK_BLOCK = 4096
 
+# The largest vertex count, and entry count, that int32 adjacency can index.
+_INDEX_MAX = np.iinfo(np.int32).max
+
 
 @dataclass(frozen=True)
 class GraphSample:
@@ -108,29 +111,50 @@ class WalkPath:
 def graph_from_edges(n: int, u, v) -> GraphSample:
     """Assemble CSR adjacency from endpoint arrays (each edge listed once).
 
-    Every endpoint must lie in [0, n) (ValueError otherwise).  Each entry is
-    sorted as the int64 key src * n + dst, so n may be at most about 3.0e9,
-    the same regime as `_pairs_from_linear`.  Int64 ``u`` and ``v`` are not
-    copied, and beyond the returned CSR the only working memory is one n-length
-    endpoint count at a time, added into ``indptr``; the sorted key then becomes
-    ``indices`` in place.
+    Every endpoint must lie in [0, n) (ValueError otherwise).  ``indptr`` and
+    ``indices`` are int32, so n and twice the edge count may each be at most
+    2**31 - 1; both bounds are checked before anything is allocated.  Int64
+    ``u`` and ``v`` are not copied; see `_csr` for the working memory.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
-        raise ValueError(f"edge endpoints must lie in [0, {n})")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.bincount(u, minlength=n)
-    indptr[1:] += np.bincount(v, minlength=n)
-    np.cumsum(indptr, out=indptr)
+    return _csr(n, [np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)])
+
+
+def _checked_order(n: int) -> None:
+    if n > _INDEX_MAX:
+        raise ValueError(f"n must be <= {_INDEX_MAX} for int32 adjacency, got {n}")
+
+
+def _csr(n: int, ends: list) -> GraphSample:
+    """The CSR of the edges in ``ends`` = [u, v], int64 endpoint arrays.
+
+    The list is emptied, so once the key is formed the builder holds no
+    reference to ``u`` or ``v``: a caller that keeps none frees them before
+    the sort.  Beyond the returned int32 CSR the working memory is one
+    n-length endpoint count at a time, added into ``indptr``, and the int64
+    key src * n + dst of every entry, which is sorted, reduced mod n into
+    ``indices`` and then freed.
+    """
+    u, v = ends
     e = u.size
-    indices = np.empty(2 * e, dtype=np.int64)  # first the key src * n + dst
-    np.multiply(u, n, out=indices[:e])
-    indices[:e] += v
-    np.multiply(v, n, out=indices[e:])
-    indices[e:] += u
-    indices.sort()
-    np.remainder(indices, n, out=indices)
+    if 2 * e > _INDEX_MAX:
+        raise ValueError(f"2 * edges must be <= {_INDEX_MAX} for int32 adjacency, got {2 * e}")
+    _checked_order(n)
+    if e and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.bincount(u, minlength=n)
+    np.add(indptr[1:], np.bincount(v, minlength=n), out=indptr[1:], casting="unsafe")
+    np.cumsum(indptr, dtype=np.int32, out=indptr)
+    key = np.empty(2 * e, dtype=np.int64)
+    np.multiply(u, n, out=key[:e])
+    key[:e] += v
+    np.multiply(v, n, out=key[e:])
+    key[e:] += u
+    ends.clear()
+    del u, v
+    key.sort()
+    indices = np.remainder(key, n, out=np.empty(2 * e, dtype=np.int32), casting="unsafe")
+    del key
     return GraphSample(n=n, indptr=indptr, indices=indices)
 
 
@@ -179,11 +203,13 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
     The gaps between successive edges in the row-major pair enumeration are
     Geometric(p) (Batagelj and Brandes 2005): exact, expected O(n + edges) work.
     Each chunk of gaps is summed in place and the chunks are freed before the
-    pair inversion, so the peak working memory is at most about twice the
-    returned CSR.
+    pair inversion, and the endpoint arrays before the CSR's sort, so the peak
+    traced memory is about 20 bytes per vertex at p = 1/n.  n must be at most
+    2**31 - 1, checked before any draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _checked_order(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
     m = n * (n - 1) // 2
@@ -198,9 +224,9 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
         pos = int(cand[-1])
     lin = np.concatenate(chunks)
     del chunks, cand
-    u, v = _pairs_from_linear(n, lin)
+    ends = list(_pairs_from_linear(n, lin))
     del lin
-    return graph_from_edges(n, u, v)
+    return _csr(n, ends)
 
 
 def explore_from_roots(graph: GraphSample, roots) -> Exploration:
@@ -286,7 +312,7 @@ def breadth_first_walk(
         limit = min(max_steps, n)
     perm = rng.permutation(n)
     seen = np.zeros(n, dtype=bool)
-    queue = np.empty(n, dtype=np.int64)
+    queue = np.empty(n, dtype=graph.indices.dtype)
     X = np.empty(limit + 1, dtype=np.int64)
     X[0] = 0
     indptr = graph.indptr

@@ -189,6 +189,17 @@ def test_simulate_chain_max_steps_below_one_exits_one_before_any_work(tmp_path, 
     assert not out.exists()
 
 
+def test_simulate_graph_n_beyond_int32_exits_one_before_any_csv(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, "simulate-graph", "--n", str(2**31), "--x", "1", "--out", str(out)
+    )
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not list(out.glob("*.csv"))
+
+
 def test_unwritable_out_dir_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a dir")

@@ -89,6 +89,7 @@ def test_graph_from_edges_matches_lexsort_for_any_edge_order(n, p):
     order = rng.permutation(lo.size)
     u, v = u[order], v[order]
     built = graph_from_edges(n, u, v)
+    assert built.indptr.dtype == built.indices.dtype == np.int32
     indptr, indices = _lexsort_csr(n, u, v)
     assert np.array_equal(built.indptr, indptr)
     assert np.array_equal(built.indices, indices)
@@ -106,6 +107,32 @@ def test_graph_from_edges_rejects_endpoints_outside_the_vertices(u, v):
     # with n = 3, (0, 3) would otherwise fold into vertex 1's row as key 1 * 3 + 0
     with pytest.raises(ValueError, match="endpoints"):
         graph_from_edges(3, u, v)
+
+
+def test_graph_from_edges_rejects_more_entries_than_int32_indexes():
+    # a broadcast view holds 2**30 edges in one element each: the bound is met
+    # by the length alone, before any scan or allocation
+    u = np.broadcast_to(np.int64(0), 2**30)
+    v = np.broadcast_to(np.int64(1), 2**30)
+    with pytest.raises(ValueError, match="edges"):
+        graph_from_edges(3, u, v)
+
+
+def test_graph_from_edges_rejects_n_beyond_int32():
+    with pytest.raises(ValueError, match="int32"):
+        graph_from_edges(2**31, [], [])
+
+
+class _NoDraws:
+    """Stands in for `sample_graph`'s stream: fails on any draw."""
+
+    def geometric(self, p, size):
+        raise AssertionError("sample_graph drew before checking n")
+
+
+def test_sample_graph_rejects_n_beyond_int32_before_any_draw():
+    with pytest.raises(ValueError, match="int32"):
+        sample_graph(2**31, 2**-31, _NoDraws())
 
 
 class _FixedGaps:
@@ -154,8 +181,8 @@ def test_pairs_from_linear_exact_at_row_boundaries(n):
     assert list(zip(u.tolist(), v.tolist())) == want
 
 
-# (n, p, seed) -> SHA-256 of indptr and indices, then the stream's next random(),
-# at sizes beyond the simulate goldens' n = 20 000
+# (n, p, seed) -> SHA-256 of indptr and indices as int64, then the stream's next
+# random(), at sizes beyond the simulate goldens' n = 20 000
 CSR_PINS = [
     (10**6, 1e-6, 1,
      "1686decd32f204c49e3f7b01a10fa5ec039369b7795ebce8440643dd02d4b180", 0.17450505850433895),
@@ -168,11 +195,13 @@ CSR_PINS = [
 def test_sample_graph_csr_bytes_pinned(n, p, seed, digest, after):
     rng = make_stream(seed, 0, "graph")
     g = sample_graph(n, p, rng)
-    assert hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest() == digest
+    values = g.indptr.astype(np.int64).tobytes() + g.indices.astype(np.int64).tobytes()
+    assert hashlib.sha256(values).hexdigest() == digest
     assert rng.random() == after
 
 
-def test_sample_graph_peak_memory_is_about_twice_its_csr():
+def test_sample_graph_peak_memory_is_below_1_4_int64_csrs():
+    # 8 (n + 1 + 2E) bytes is the CSR held as int64; the int32 CSR is half that
     n = 200_000
     tracemalloc.start()
     try:
@@ -180,7 +209,7 @@ def test_sample_graph_peak_memory_is_about_twice_its_csr():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * (g.indptr.nbytes + g.indices.nbytes)
+    assert peak <= 1.4 * 8 * (n + 1 + 2 * g.edge_count)
 
 
 @pytest.mark.parametrize("n,p", [(4, 0.5), (100, 0.02)])
@@ -363,6 +392,20 @@ def test_walk_max_steps_truncation():
     g = sample_graph(50, 0.05, make_stream(4, 0, "g"))
     walk = breadth_first_walk(g, make_stream(4, 0, "w"), max_steps=10)
     assert walk.X.size == 11
+
+
+def test_walk_queue_takes_the_csr_index_dtype():
+    # beyond the int64 restart order and the seen flags, the int32 queue is
+    # the walk's only n-length array: 13 bytes per vertex (17 with an int64 queue)
+    n = 200_000
+    g = graph_from_edges(n, [], [])
+    tracemalloc.start()
+    try:
+        breadth_first_walk(g, make_stream(1, 0, "w"), max_steps=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * n
 
 
 class _FixedPermutation:
