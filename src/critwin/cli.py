@@ -38,7 +38,7 @@ from .core import (
     edge_probability,
     make_stream,
 )
-from .graph import breadth_first_walk, cousin_series, explore, sample_graph
+from .graph import _checked_order, breadth_first_walk, cousin_series, explore, sample_graph
 from .moments import bound_sweep
 from .verify import _checked_suite
 
@@ -179,6 +179,7 @@ def _run(args, command: str, config: dict, one, gather=None) -> int:
 
 def cmd_simulate_graph(args) -> int:
     config, p, seed, described = _resolve_config(args)
+    _checked_order(config.n)  # before _run makes --out
     k = config.k
 
     def one(r: int):

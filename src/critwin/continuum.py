@@ -21,11 +21,10 @@ is stored; a hitting ensemble asks for no times and runs no clock.  The bridge
 test always runs, and its uniforms are always drawn.  Each block is worked in
 row chunks of about `_CHUNK` cells, in two passes, one over its normals and one
 over its uniforms, so its draws come in the order of two whole-block draws.
-The normals pass runs the clock on the owing rows as if no bridge fires; only
-the owing rows whose bridge may fire keep x + X between the passes, and the
-uniforms pass runs their clock again, from the block's left edge, with their
-fired cells.  Those rows reach below sqrt(373 dt): 0.19 at dt = 1e-4, so few
-are kept there, but 0.61 at dt = 1e-3.
+Each owing row's clock runs once a block: in the normals pass where no bridge
+can fire on the row, else in the uniforms pass, with its fired cells, and only
+those rows keep x + X between the passes.  They reach below sqrt(373 dt): 0.19
+at dt = 1e-4, so few are kept there, but 0.61 at dt = 1e-3.
 `sample_parabolic_bm` draws the same X directly, as one recorded path; a test
 holds the two equal on the same normals.  A `_first_passage` call runs its
 paths as two shards on two streams, one on a thread that calls nothing
@@ -200,18 +199,17 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     each chunk's normals, turns their running sum, carried across block
     edges, into x + X over the block's columns in place, places its grid
     crossings, gathers its cells for `_bridge_test` and runs the clock on its
-    owing rows as if no bridge fires; the second draws each chunk's uniforms
-    and fires its gathered cells.  So the normals and the uniforms come row
-    by row, in the order of two whole-block draws, and the chunk size changes
-    no value.  Only the owing rows holding a gathered cell keep x + X between
-    the passes, with their clock, done, z_at and c_at at the block's left
-    edge; the second pass puts those back and runs their clock again with
-    their fired cells.  A row with no gathered cell fires none, and the clock
-    works row by row, so where a row's clock runs changes no byte.  The
-    cells are gathered where ab < 373 dt, so the rows kept are few at small
-    dt: an end must lie below sqrt(373 dt), 0.19 at dt = 1e-4 but 0.61 at
-    dt = 1e-3.  The clock's cell times go into the pass's spent draw array,
-    and its ratios into one array the shard reuses.  A path retires after
+    owing rows that hold no gathered cell, which fire none; the second draws
+    each chunk's uniforms, fires its gathered cells and runs the clock on the
+    other owing rows, with their fired cells.  So the normals and the
+    uniforms come row by row, in the order of two whole-block draws, and the
+    chunk size changes no value.  Each owing row's clock runs once a block,
+    and only the rows whose clock waits for the uniforms keep x + X between
+    the passes; the clock works row by row, so where it runs changes no
+    byte.  The cells are gathered where ab < 373 dt, so the rows kept are few
+    at small dt: an end must lie below sqrt(373 dt), 0.19 at dt = 1e-4 but
+    0.61 at dt = 1e-3.  The clock's cell times go into the pass's spent draw
+    array, and its ratios into one array the shard reuses.  A path retires after
     the block in which x + X reaches zero on the grid, so the live set and the
     draws do not depend on the bridge test's outcome.  The earliest event is
     kept: a grid crossing placed by linear interpolation inside its cell, or
@@ -310,25 +308,23 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
             t_cross[p[r]] = np.minimum(t_cross[p[r]], (lo + j + a / (a - b)) * dt)
             may_fire, bridge = _bridge_test(s[:, :-1], s[:, 1:], dt, out=g)
             owing = done[p] < t_at.size
-            again = np.flatnonzero(owing & may_fire)  # rows whose clock runs again
-            kept.append((bridge, again, s[again],  # with their state at the left edge
-                         (clock[p[again]], done[p[again]], z_at[p[again]], c_at[p[again]])))
-            own = np.flatnonzero(owing)
-            if own.size < p.size:
-                s = s[own]  # and the chunk's x + X is freed
-            if own.size:  # as if no bridge fires
-                run_clock(p[own], s, None, lo, g)
+            wait = np.flatnonzero(owing & may_fire)  # rows whose clock needs their fired cells
+            kept.append((bridge, wait, s[wait]))
+            now = np.flatnonzero(owing & ~may_fire)  # rows no bridge can fire on
+            if now.size < p.size:
+                s = s[now]  # and the chunk's x + X is freed
+            if now.size:
+                run_clock(p[now], s, None, lo, g)
             del s, g  # spent
         for p in chunks:  # then its uniforms
-            bridge, again, sv, state = kept.pop(0)  # each chunk's rows go once its clock has run
+            bridge, wait, sv = kept.pop(0)  # each chunk's rows go once its clock has run
             u = rng.random((p.size, hi - lo))
             fired = bridge(u)
             r = np.flatnonzero(fired.any(axis=1))
             t_fire = (lo + np.argmax(fired[r], axis=1) + 0.5) * dt
             t_cross[p[r]] = np.minimum(t_cross[p[r]], t_fire)
-            if again.size:  # back to the left edge, then the clock with the fired cells
-                clock[p[again]], done[p[again]], z_at[p[again]], c_at[p[again]] = state
-                run_clock(p[again], sv, fired[again], lo, u)
+            if wait.size:
+                run_clock(p[wait], sv, fired[wait], lo, u)
             del u  # spent
         live = live[~np.concatenate(crossed)]
     truncated = np.isinf(t_cross)

@@ -189,17 +189,6 @@ def test_simulate_chain_max_steps_below_one_exits_one_before_any_work(tmp_path, 
     assert not out.exists()
 
 
-def test_simulate_graph_n_beyond_int32_exits_one_before_any_csv(tmp_path, capsys):
-    out = tmp_path / "o"
-    code, stdout, err = run_cli(
-        capsys, "simulate-graph", "--n", str(2**31), "--x", "1", "--out", str(out)
-    )
-    assert code == 1
-    assert stdout == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert not list(out.glob("*.csv"))
-
-
 def test_unwritable_out_dir_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a dir")
@@ -487,6 +476,8 @@ BAD_INPUT = {
                      ("--epsilon", "0"), ("--epsilon", "nan"),
                      ("--replicates", "0"), ("--seed", "-1"), ("--threads", "0"))},
     "chain-missing-n": (("simulate-chain", "--x", "1"), {}),
+    # int32 adjacency holds at most 2**31 - 1 vertices
+    "graph-n-beyond-int32": (("simulate-graph", "--n", str(2**31), "--x", "1"), {}),
     "continuum-seed-flag": ((*_SDE, "--seed", "-1"), {}),
     "continuum-seed-env": (_SDE, {"CW_SEED": "-3"}),
     "continuum-dt-nan": ((*_SDE, "--dt", "nan"), {}),

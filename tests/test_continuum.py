@@ -545,8 +545,8 @@ _BRIDGE_TEST = continuum._bridge_test
 
 def _may_fire_everywhere(left, right, dt, out=None):
     """`_bridge_test` marking every row as one whose bridge may fire, so that
-    every owing row's clock runs again in the uniforms pass, from the block's
-    left edge and with its fired cells."""
+    every owing row's clock runs only in the uniforms pass, with its fired
+    cells."""
     return np.ones(left.shape[0], dtype=bool), _BRIDGE_TEST(left, right, dt, out)[1]
 
 
@@ -567,10 +567,10 @@ _PLACEMENT_CALLS = {  # each returns (z, c, ...) at one time
 @pytest.mark.parametrize("block", [500_000, 997])
 @pytest.mark.parametrize("entry", sorted(_PLACEMENT_CALLS))
 def test_the_clocks_placement_changes_no_byte(monkeypatch, entry, block):
-    # the normals pass runs the clock on every owing row as if no bridge
-    # fires, and the uniforms pass runs it again on the rows whose bridge may
-    # fire; running it again on every owing row gives the same outputs and
-    # end stream state, and owing rows fire: their paths end absorbed, with C
+    # the normals pass runs the clock on the owing rows no bridge can fire
+    # on, and the uniforms pass on the rows whose bridge may fire; running it
+    # on every owing row in the uniforms pass gives the same outputs and end
+    # stream state, and owing rows fire: their paths end absorbed, with C
     # at a cell's midpoint.  Small blocks put a row's cells near zero and far
     # from it in different blocks
     monkeypatch.setattr(continuum, "_BLOCK", block)
@@ -585,6 +585,31 @@ def test_the_clocks_placement_changes_no_byte(monkeypatch, entry, block):
     assert runs[0] == runs[1]
     z, c = out[:2]
     assert ((z == 0) & (c == (np.floor(c / dt) + 0.5) * dt)).any()
+
+
+def test_each_owing_rows_clock_runs_once_a_block(monkeypatch):
+    # marking every row as one whose bridge may fire moves clock runs from
+    # the normals pass to the uniforms pass but adds no cell: no row's clock
+    # runs twice in a block.  At dt = 1e-3 about half of the cells lie on rows
+    # whose bridge may fire; at 1e-2 all do, and the counts could not differ
+    cells = []
+
+    def cell_time(a, b, w, *out):
+        if a.ndim == 2:  # a run over whole rows, not an absorbing cell
+            cells.append(a.size)
+        return _cell_time(a, b, w, *out)
+
+    monkeypatch.setattr(continuum, "_cell_time", cell_time)
+    dt = 1e-3
+    m = continuum._grid_steps(dt, continuum._default_grid_span(1.0, 0.0))
+    counts = []
+    for double in (None, _may_fire_everywhere):
+        if double is not None:
+            monkeypatch.setattr(continuum, "_bridge_test", double)
+        cells.clear()
+        _shard(1.0, 0.0, dt, m, 300, make_stream(5, 0, "once"), np.array([0.5, 1.0]))
+        counts.append(sum(cells))
+    assert counts[0] == counts[1] > 0
 
 
 class _Boom(Exception):
