@@ -105,11 +105,11 @@ def _ratio(num, y):
     return num
 
 
-def _cell_time(a, b, w, out=None, scratch=None):
+def _cell_time(a, b, w, out=None):
     """Time the time change takes to cross a cell of width w on which x + X
     runs linearly from a to b (both > 0): w (ln b - ln a) / (b - a), in
-    ``out`` if given, with b / a in ``scratch`` if given."""
-    r = np.divide(b, a, out=scratch)  # ln(r) / (r - 1) stays accurate for b near a and for b << a
+    ``out`` if given."""
+    r = np.divide(b, a)  # ln(r) / (r - 1) stays accurate for b near a and for b << a
     t = _ratio(np.log(r, out=out), np.subtract(r, 1.0, out=r))
     t *= w
     t /= a
@@ -209,7 +209,7 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     byte.  The cells are gathered where ab < 373 dt, so the rows kept are few
     at small dt: an end must lie below sqrt(373 dt), 0.19 at dt = 1e-4 but
     0.61 at dt = 1e-3.  The clock's cell times go into the pass's spent draw
-    array, and its ratios into one array the shard reuses.  A path retires after
+    array, and its ratios into one of the call's own.  A path retires after
     the block in which x + X reaches zero on the grid, so the live set and the
     draws do not depend on the bridge test's outcome.  The earliest event is
     kept: a grid crossing placed by linear interpolation inside its cell, or
@@ -236,7 +236,6 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
     c_at = np.zeros((n_paths, t_at.size))
     clock = np.zeros(n_paths)  # time-change clock at the block's left edge
     done = np.zeros(n_paths, dtype=np.int64)  # entries of t_at filled
-    ratios = np.empty(0)  # the clock's b / a for every chunk: fresh ones were faulted in anew
 
     def run_clock(p, sv, fired, lo, work):
         """The clock over paths ``p``, from their x + X ``sv`` on the block's
@@ -244,7 +243,6 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
         their cell times go into the rows of ``work``, a spent draw array.
         Each step works row by row, so a path's values do not depend on
         which rows share the call."""
-        nonlocal ratios
         stop = sv[:, 1:] <= dt  # the interpolant falls to dt in the cell
         stop[:, 0] |= sv[:, 0] <= dt  # a start at or below dt (x <= dt)
         if fired is not None:
@@ -258,9 +256,7 @@ def _shard(x, lam, dt, m, n_paths, rng, t_at):
         if fired is not None:
             np.minimum(f, 0.5, out=f, where=fired[hit, k])
         tick = work[: p.size]
-        if ratios.size < tick.size:
-            ratios = np.empty(tick.size)
-        _cell_time(sv[:, :-1], sv[:, 1:], dt, tick, ratios[: tick.size].reshape(tick.shape))
+        _cell_time(sv[:, :-1], sv[:, 1:], dt, tick)
         tick[hit] *= np.arange(tick.shape[1]) < k[:, None]
         tick[hit, k] = _cell_time(a, a + f * (b - a), f * dt)
         sv[hit, k], sv[hit, k + 1] = a, b  # its slope, for the closed form

@@ -205,7 +205,9 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
     Each chunk of gaps is summed in place and the chunks are freed before the
     pair inversion, and the endpoint arrays before the CSR's sort, so the peak
     traced memory is about 20 bytes per vertex at p = 1/n.  n must be at most
-    2**31 - 1, checked before any draw.
+    2**31 - 1, checked before any draw; so is twice the edge count, which is
+    refused before any draw where its mean less 10 standard deviations
+    already passes the bound, and by `_csr` otherwise.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -215,6 +217,10 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
     m = n * (n - 1) // 2
     if m == 0 or p == 0.0:
         return graph_from_edges(n, [], [])
+    mean = m * p  # of the edge count, Binomial(m, p)
+    if mean - 10.0 * (mean * (1.0 - p)) ** 0.5 > _INDEX_MAX // 2:
+        raise ValueError(f"2 * edges must be <= {_INDEX_MAX} for int32 adjacency, "
+                         f"got G({n}, {p}) with {mean:.4g} edges expected")
     chunks, pos = [], -1  # pos: the last pair index drawn
     while pos < m:
         cand = rng.geometric(p, size=min(int((m - pos) * p * 1.2) + 64, 8_000_000))

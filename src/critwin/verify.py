@@ -374,8 +374,8 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
     operands are arrays and its ufuncs are bound locally with ``out`` passed
     by position, which trims numpy's per-call overhead on these small
     arrays.  The closed form and the running maximum are taken once per
-    `_RK4_BLOCK` steps, the closed form and its error in one preallocated
-    buffer.
+    `_RK4_BLOCK` steps, the error in place of the block's c, once its last
+    row has become the next block's first.
     """
     x = np.asarray(xs, dtype=np.float64)
     lam = np.asarray(lams, dtype=np.float64)
@@ -396,7 +396,6 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
     stages = ((k2, k1, half_h), (k3, k2, half_h), (k4, k3, full_h))
     maxerr = np.zeros_like(x)
     c = np.zeros((_RK4_BLOCK + 1, x.size))  # row 0: c before the block's first step
-    closed = np.empty((_RK4_BLOCK, x.size))  # the closed form, then the error, in place
     steps = int(round(t_max / h))
     for first in range(1, steps + 1, _RK4_BLOCK):
         n = min(_RK4_BLOCK, steps + 1 - first)
@@ -414,14 +413,13 @@ def rk4_curve_max_error(xs, lams, t_max: float = 10.0, h: float = 1e-4) -> float
             add(arg, k4, arg)
             mul(arg, sixth_h, arg)
             add(cv, arg, c[r + 1])
+        c[0] = c[n]
         t = np.arange(first, first + n) * h
-        err = closed[:n]
+        err = c[1 : n + 1]  # c, then its error, in place
         for i, lim in enumerate(limits):
-            err[:, i] = lim.c(t)
-        np.subtract(c[1 : n + 1], err, out=err)
+            err[:, i] -= lim.c(t)
         np.abs(err, out=err)
         np.maximum(maxerr, err.max(axis=0), out=maxerr)
-        c[0] = c[n]
     return float(maxerr.max())
 
 

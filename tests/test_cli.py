@@ -134,20 +134,48 @@ def test_verify_out_writes_report_and_sweep(tmp_path, capsys):
     assert manifest["config"]["seed"] == report["seed"] == 20260810
 
 
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_reports_tool_digests_the_bytes_verify_writes(tmp_path, capsys, monkeypatch):
     # tools/reports.py restates report.json's byte format; it must hash what
     # `verify --out` writes
     monkeypatch.delenv("CW_SEED", raising=False)
-    spec = importlib.util.spec_from_file_location(
-        "reports", Path(__file__).resolve().parent.parent / "tools" / "reports.py"
-    )
-    reports = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reports)
+    reports = _tool("reports")
     out = tmp_path / "v"
     code, _, _ = run_cli(capsys, "verify", "--suite", "kernel", "--out", str(out))
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert reports._entry("kernel", None)["sha256"] == manifest["outputs"]["report.json"]
+
+
+def test_bench_record_compares_two_checkouts_seed_by_seed():
+    # the change reads lower at 9 of 10 seeds in peak_rss_mb, 4 MiB apart
+    # against a parent IQR of 0.45: a gain claim holds; in wall_s the medians
+    # are 0.05 s apart against an IQR of 0.045, but it reads lower at only 8
+    def runs(values):
+        return [{"workload": "w", "seed": seed,
+                 "result": {"metrics": {name: {"value": v[seed - 1]}
+                                        for name, v in values.items()}}}
+                for seed in range(1, 11)]
+
+    parent = runs({"peak_rss_mb": [50 + s / 10 for s in range(10)],
+                   "wall_s": [5.0 + s / 100 for s in range(10)]})
+    change = runs({"peak_rss_mb": [46 + s / 10 for s in range(9)] + [60],
+                   "wall_s": [4.95 + s / 100 for s in range(8)] + [9, 9]})
+    lines = _tool("bench_record")._compare(parent, change, ["peak_rss_mb", "wall_s"])
+    assert lines == [
+        "w peak_rss_mb: 50.45 (IQR 0.45) -> 46.45 (IQR 0.45), lower in 9/10; "
+        "a claimed gain holds",
+        "w wall_s: 5.045 (IQR 0.045) -> 4.995 (IQR 0.045), lower in 8/10; "
+        "a claimed gain fails",
+    ]
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

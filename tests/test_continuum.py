@@ -823,14 +823,15 @@ def test_lamperti_marginals_stores_no_x_grid():
     assert peak <= 0.4 * x_chunk
 
 
-@pytest.mark.parametrize("dt,t_at,blocks", [(1e-3, np.array([1.0]), 2.0),
+@pytest.mark.parametrize("dt,t_at,blocks", [(1e-3, np.array([1.0]), 1.55),
                                             (1e-3, np.empty(0), 1.35),
-                                            (1e-4, np.array([1.0]), 1.4)],
+                                            (1e-4, np.array([1.0]), 1.1)],
                          ids=["lamperti", "hitting", "lamperti-1e-4"])
 def test_a_shard_holds_about_one_block_of_x_plus_x(monkeypatch, dt, t_at, blocks):
     # a block is worked in row chunks of a sixth of it, and only the owing
-    # rows whose bridge may fire keep x + X between the passes: 1.8, 1.2 and
-    # 1.2 blocks at the peak; with every owing row kept, 2.1, 1.2 and 1.7
+    # rows whose bridge may fire keep x + X between the passes; the clock's
+    # b / a lives only as long as its chunk: 1.5, 1.19 and 1.04 blocks at the
+    # peak, against 1.6, 1.19 and 1.15 with one b / a array for the shard
     monkeypatch.setattr(continuum, "_BLOCK", 50_000)
     monkeypatch.setattr(continuum, "_CHUNK", 8_192)
     m = int(round(continuum._default_grid_span(1.0, 0.0) / dt))
@@ -1137,6 +1138,19 @@ def test_rk4_oracle_rounds_as_the_plain_loop():
     xs, lams = rng.uniform(0.1, 5.0, size=5), rng.uniform(-3.0, 3.0, size=5)
     got = rk4_curve_max_error(xs, lams, t_max=0.5)
     assert got == _rk4_curve_max_error_ref(xs, lams, t_max=0.5) and got > 0
+
+
+def test_rk4_oracle_holds_one_block_of_c():
+    # the error is taken in place of the block's c: no second block-sized buffer
+    rng = np.random.default_rng(42)
+    xs, lams = rng.uniform(0.1, 5.0, size=100), rng.uniform(-3.0, 3.0, size=100)
+    tracemalloc.start()
+    try:
+        rk4_curve_max_error(xs, lams, t_max=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (verify._RK4_BLOCK + 1) * 100
 
 
 def test_self_similarity_insufficient_sample(monkeypatch):

@@ -127,12 +127,23 @@ class _NoDraws:
     """Stands in for `sample_graph`'s stream: fails on any draw."""
 
     def geometric(self, p, size):
-        raise AssertionError("sample_graph drew before checking n")
+        raise AssertionError("sample_graph drew before checking its input")
 
 
 def test_sample_graph_rejects_n_beyond_int32_before_any_draw():
     with pytest.raises(ValueError, match="int32"):
         sample_graph(2**31, 2**-31, _NoDraws())
+
+
+def test_sample_graph_refuses_too_many_expected_entries_before_any_draw(monkeypatch):
+    # 19 900 pairs at p = 1/2 give 9 950 +- 71 edges, far past a bound of 500
+    monkeypatch.setattr(graph, "_INDEX_MAX", 1000)
+    with pytest.raises(ValueError, match="edges"):
+        sample_graph(200, 0.5, _NoDraws())
+    # 4 950 pairs at p = 0.05 give 248 +- 15: sampled, and checked exactly
+    g = sample_graph(100, 0.05, make_stream(0, 0, "int32-bound"))
+    assert 0 < 2 * g.edge_count <= 1000
+    _assert_valid_adjacency(g)
 
 
 class _FixedGaps:

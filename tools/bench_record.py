@@ -11,6 +11,12 @@ checkout is written to the current directory, with the median and the
 interquartile range, per workload, of each end-to-end metric, of each other
 figure of the detail line (``figures``: per-suite or per-command seconds such
 as ``lamperti_s``) and of the number of passes a run made (``passes``).
+
+Given exactly two checkouts, the first the parent and the second the change,
+it also prints to stderr, for each workload and end-to-end metric, the two
+medians with their IQRs, the seeds at which the change reads lower, and
+whether a claimed gain would hold: lower in at least 9 of 10 pairs, and the
+medians apart by more than the parent's IQR.
 """
 from __future__ import annotations
 
@@ -59,6 +65,23 @@ def _summary(runs: list, workloads: list) -> dict:
     return out
 
 
+def _compare(parent: list, change: list, metrics: list) -> list:
+    """The comparison lines for two checkouts' runs, paired by workload and seed."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in parent):
+        for name in metrics:
+            before, after = ({r["seed"]: r["result"]["metrics"][name]["value"]
+                              for r in runs if r["workload"] == workload}
+                             for runs in (parent, change))
+            lower = sum(after[seed] < value for seed, value in before.items())
+            b, a = _stats(list(before.values())), _stats(list(after.values()))
+            holds = 10 * lower >= 9 * len(before) and b["median"] - a["median"] > b["iqr"]
+            lines.append(f"{workload} {name}: {b['median']:.4g} (IQR {b['iqr']:.3g}) -> "
+                         f"{a['median']:.4g} (IQR {a['iqr']:.3g}), lower in "
+                         f"{lower}/{len(before)}; a claimed gain {'holds' if holds else 'fails'}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", type=Path)
@@ -81,6 +104,9 @@ def main(argv=None) -> int:
                   "summary": _summary(done, workloads), "runs": done}
         Path(f"BENCH_{sha[:7]}.json").write_text(json.dumps(record, indent=1) + "\n",
                                                  encoding="utf-8")
+    if len(runs) == 2:
+        metrics = [m["name"] for m in declared["end_to_end"]]
+        print("\n".join(_compare(*runs.values(), metrics)), file=sys.stderr)
     return 0
 
 
