@@ -830,7 +830,7 @@ def test_lamperti_marginals_stores_no_x_grid():
 def test_a_shard_holds_about_one_block_of_x_plus_x(monkeypatch, dt, t_at, blocks):
     # a block is worked in row chunks of a sixth of it, and only the owing
     # rows whose bridge may fire keep x + X between the passes; the clock's
-    # b / a lives only as long as its chunk: 1.5, 1.19 and 1.04 blocks at the
+    # b / a lives only as long as its call: 1.5, 1.19 and 1.04 blocks at the
     # peak, against 1.6, 1.19 and 1.15 with one b / a array for the shard
     monkeypatch.setattr(continuum, "_BLOCK", 50_000)
     monkeypatch.setattr(continuum, "_CHUNK", 8_192)
