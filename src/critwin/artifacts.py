@@ -8,6 +8,7 @@ with that digest.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -29,22 +30,36 @@ __all__ = [
 TOOL_VERSION = "critwin 0.1.0"
 
 
-def _write_text(path, text: str) -> str:
-    """Write ``text`` as UTF-8 in one write; returns the SHA-256 of its bytes."""
-    data = text.encode("utf-8")
+# Rows per block of `_write_columns`: each block is formatted, hashed and
+# written before the next, so a file's text is never held whole.
+_ROWS = 4096
+
+
+def _write_pieces(path, pieces) -> str:
+    """Write each text of ``pieces`` as UTF-8 in turn; returns the SHA-256 of all the bytes."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for piece in pieces:
+            data = piece.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _write_columns(path, header: str, fmt: str, *columns) -> str:
     """The header, then `fmt % row` for each row of the columns; returns the digest.
 
-    Values are formatted as Python numbers (`.tolist()`): `%d` gives the text
-    of `int(x)` and `%.17g` that of `format(float(x), ".17g")`.
+    Each line ends in a newline, and the rows stop at the shortest column's
+    end.  Values are formatted as Python numbers (`.tolist()`): `%d` gives
+    the text of `int(x)` and `%.17g` that of `format(float(x), ".17g")`.
     """
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    return _write_text(path, "\n".join([header, *(fmt % row for row in rows), ""]))
+    columns = [np.asarray(col) for col in columns]
+    size = min((len(col) for col in columns), default=0)
+    line = fmt + "\n"
+    blocks = (zip(*(col[lo : lo + _ROWS].tolist() for col in columns))
+              for lo in range(0, size, _ROWS))
+    texts = ("".join([line % row for row in rows]) for rows in blocks)
+    return _write_pieces(path, itertools.chain([header + "\n"], texts))
 
 
 def write_trace_csv(path, Z, C) -> str:
@@ -83,7 +98,7 @@ def write_sweep_csv(path, sweep) -> str:
 
 def write_json(path, payload: dict) -> str:
     """``payload`` as 2-space-indented JSON with sorted keys; returns the digest."""
-    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return _write_pieces(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def write_manifest(out_dir, command: str, config: dict, outputs: dict, duration_s: float) -> Path:

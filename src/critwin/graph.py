@@ -47,6 +47,9 @@ _WALK_BLOCK = 4096
 # The largest vertex count, and entry count, that int32 adjacency can index.
 _INDEX_MAX = np.iinfo(np.int32).max
 
+# Pairs per block of the G(n, p) pair inversion and of the CSR's row fill.
+_PAIR_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class GraphSample:
@@ -109,52 +112,93 @@ class WalkPath:
 
 
 def graph_from_edges(n: int, u, v) -> GraphSample:
-    """Assemble CSR adjacency from endpoint arrays (each edge listed once).
+    """Assemble CSR adjacency from a simple graph's edge list.
 
-    Every endpoint must lie in [0, n) (ValueError otherwise).  ``indptr`` and
-    ``indices`` are int32, so n and twice the edge count may each be at most
-    2**31 - 1; both bounds are checked before anything is allocated.  Int64
-    ``u`` and ``v`` are not copied; see `_csr` for the working memory.
+    ``u`` and ``v`` must be 1-D and of equal length, and they list each edge
+    once, in any order and either orientation.  Every endpoint must lie in
+    [0, n), and a self-loop or a repeated edge is refused (ValueError for
+    each).  ``indptr`` and ``indices`` are int32, so n and twice the edge
+    count may each be at most 2**31 - 1; the shapes and both bounds are
+    checked before anything is allocated.  The edges are sorted as (min, max)
+    pairs and handed to `_csr`.
     """
-    return _csr(n, [np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)])
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"u and v must be 1-D and of equal length, got {u.shape} and {v.shape}")
+    _checked_order(n, 2 * u.size)
+    if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    if np.any(u == v):
+        raise ValueError("the edges must not hold a self-loop")
+    key = np.minimum(u, v)
+    key <<= 32
+    key |= np.maximum(u, v)
+    key.sort()
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("the edges must not repeat an edge")
+    pairs = np.empty((key.size, 2), dtype=np.int32)
+    np.right_shift(key, 32, out=pairs[:, 0], casting="unsafe")
+    np.bitwise_and(key, 0xFFFFFFFF, out=pairs[:, 1], casting="unsafe")
+    return _csr(n, pairs)
 
 
-def _checked_order(n: int) -> None:
+def _checked_order(n: int, entries: int = 0) -> None:
+    if entries > _INDEX_MAX:
+        raise ValueError(f"2 * edges must be <= {_INDEX_MAX} for int32 adjacency, got {entries}")
     if n > _INDEX_MAX:
         raise ValueError(f"n must be <= {_INDEX_MAX} for int32 adjacency, got {n}")
 
 
-def _csr(n: int, ends: list) -> GraphSample:
-    """The CSR of the edges in ``ends`` = [u, v], int64 endpoint arrays.
+def _csr(n: int, pairs: np.ndarray) -> GraphSample:
+    """The CSR of the simple graph whose edges are the rows (i, j) of ``pairs``.
 
-    The list is emptied, so once the key is formed the builder holds no
-    reference to ``u`` or ``v``: a caller that keeps none frees them before
-    the sort.  Beyond the returned int32 CSR the working memory is one
-    n-length endpoint count at a time, added into ``indptr``, and the int64
-    key src * n + dst of every entry, which is sorted, reduced mod n into
-    ``indices`` and then freed.
+    ``pairs`` is a C-contiguous (E, 2) int32 array, i < j in every row and the
+    rows ascending; it is spent.  The degrees are counted with ``np.add.at``.
+    Row v lists its lower neighbours, then its upper ones, so it comes out
+    sorted.  v's upper neighbours are one run of the pairs; each block, once
+    placed, is overwritten by its int64 keys j << 32 | i, and after one
+    in-place sort v's lower neighbours are one run of the keys.  A run's slots
+    are its positions plus a shift that never falls from one row to the next,
+    so an upper pair at t goes to t plus the least end[row] - 1 - t' over
+    t' >= t, and a lower key at s to s plus the greatest start[row] - s' over
+    s' <= s: one running minimum (from the last block back) or maximum per
+    pass, carried across blocks of ``_PAIR_BLOCK``.  Beyond the returned CSR
+    and ``pairs``, the working memory is that of one block.
     """
-    u, v = ends
-    e = u.size
-    if 2 * e > _INDEX_MAX:
-        raise ValueError(f"2 * edges must be <= {_INDEX_MAX} for int32 adjacency, got {2 * e}")
-    _checked_order(n)
-    if e and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
-        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    e = pairs.shape[0]
+    _checked_order(n, 2 * e)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.bincount(u, minlength=n)
-    np.add(indptr[1:], np.bincount(v, minlength=n), out=indptr[1:], casting="unsafe")
+    np.add.at(indptr[1:], pairs.ravel(), np.int32(1))
     np.cumsum(indptr, dtype=np.int32, out=indptr)
-    key = np.empty(2 * e, dtype=np.int64)
-    np.multiply(u, n, out=key[:e])
-    key[:e] += v
-    np.multiply(v, n, out=key[e:])
-    key[e:] += u
-    ends.clear()
-    del u, v
-    key.sort()
-    indices = np.remainder(key, n, out=np.empty(2 * e, dtype=np.int32), casting="unsafe")
-    del key
+    indices = np.empty(2 * e, dtype=np.int32)
+    keys = pairs.view(np.int64).reshape(e)
+    ends = indptr[1:]
+    shift = 2 * e  # above every upper shift
+    for lo in reversed(range(0, e, _PAIR_BLOCK)):
+        i, j = pairs[lo : lo + _PAIR_BLOCK].T
+        t = np.arange(lo + 1, lo + 1 + i.size, dtype=np.int32)
+        slot = ends[i]
+        slot -= t
+        np.minimum.accumulate(slot[::-1], out=slot[::-1])
+        np.minimum(slot, shift, out=slot)
+        shift = slot[0]
+        slot += t
+        slot -= 1
+        indices[slot] = j
+        np.bitwise_or(np.left_shift(j, 32, dtype=np.int64), i, out=keys[lo : lo + _PAIR_BLOCK])
+    keys.sort()
+    shift = 0  # below no lower shift
+    for lo in range(0, e, _PAIR_BLOCK):
+        key = keys[lo : lo + _PAIR_BLOCK]
+        t = np.arange(lo, lo + key.size, dtype=np.int32)
+        slot = indptr[key >> 32]
+        slot -= t
+        np.maximum.accumulate(slot, out=slot)
+        np.maximum(slot, shift, out=slot)
+        shift = slot[-1]
+        slot += t
+        indices[slot] = key & 0xFFFFFFFF
     return GraphSample(n=n, indptr=indptr, indices=indices)
 
 
@@ -202,12 +246,14 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
 
     The gaps between successive edges in the row-major pair enumeration are
     Geometric(p) (Batagelj and Brandes 2005): exact, expected O(n + edges) work.
-    Each chunk of gaps is summed in place and the chunks are freed before the
-    pair inversion, and the endpoint arrays before the CSR's sort, so the peak
-    traced memory is about 20 bytes per vertex at p = 1/n.  n must be at most
-    2**31 - 1, checked before any draw; so is twice the edge count, which is
-    refused before any draw where its mean less 10 standard deviations
-    already passes the bound, and by `_csr` otherwise.
+    Each chunk of gaps is summed in place into pair indices, and the chunks
+    are freed once joined.  The indices are inverted ``_PAIR_BLOCK`` at a
+    time, each block's int32 (i, j) written over the bytes its indices held,
+    and `_csr` builds the CSR in that buffer; so no int64 endpoint array is
+    made, and the peak traced memory is about 13 bytes per vertex at p = 1/n.
+    n must be at most 2**31 - 1, checked before any draw; so is twice the
+    edge count, which is refused before any draw where its mean less 10
+    standard deviations already passes the bound, and by `_csr` otherwise.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -230,9 +276,12 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
         pos = int(cand[-1])
     lin = np.concatenate(chunks)
     del chunks, cand
-    ends = list(_pairs_from_linear(n, lin))
+    pairs = lin.view(np.int32).reshape(lin.size, 2)
+    for lo in range(0, lin.size, _PAIR_BLOCK):
+        block = pairs[lo : lo + _PAIR_BLOCK]
+        block[:, 0], block[:, 1] = _pairs_from_linear(n, lin[lo : lo + _PAIR_BLOCK])
     del lin
-    return _csr(n, ends)
+    return _csr(n, pairs)
 
 
 def explore_from_roots(graph: GraphSample, roots) -> Exploration:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -86,3 +87,54 @@ def test_manifest_lists_the_digests_it_is_given(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert json.loads(text)["outputs"] == {"w.csv": _sha256(tmp_path / "w.csv")}
+
+
+_I = np.tile(INTS, 2)
+_R = np.tile(REALS, 2)
+
+
+class _Sweep:
+    """Stands in for a `BoundSweep`: its first k (n, quantity, sup_value) rows."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def rows(self):
+        return list(zip(_I[: self.k].tolist(), itertools.cycle(["Z", "C", "K"]), _R.tolist()))
+
+
+# writer -> (call on a path and a row count k, then the header, format and
+# columns that a one-shot join formats)
+_WRITERS = {
+    "trace": lambda path, k: (artifacts.write_trace_csv(path, _I[:k], _R[:k] > 0),
+                              "h,Z,C", "%d,%d,%d", np.arange(k), _I[:k], _R[:k] > 0),
+    "cousin": lambda path, k: (artifacts.write_cousin_csv(path, _I[:k], _I[: k + 1]),
+                               "j,csn,K", "%d,%d,%d", np.arange(k), _I[:k], _I[: k + 1]),
+    "walk": lambda path, k: (artifacts.write_walk_csv(path, _I[:k]),
+                             "i,X", "%d,%d", np.arange(k), _I[:k]),
+    "path": lambda path, k: (artifacts.write_path_csv(path, 0.1, _R[:k], _R[::-1][:k]),
+                             "t,Z,C", "%.17g,%.17g,%.17g", np.arange(k) * 0.1, _R[:k],
+                             _R[::-1][:k]),
+    "hitting": lambda path, k: (artifacts.write_hitting_csv(path, _R[:k], _I[:k] > 0),
+                                "replicate,T,truncated", "%d,%.17g,%d", np.arange(k), _R[:k],
+                                _I[:k] > 0),
+    "deterministic": lambda path, k: (
+        artifacts.write_deterministic_csv(path, *(np.roll(_R, s)[:k] for s in range(5))),
+        "t,f,c,z,K", "%.17g,%.17g,%.17g,%.17g,%.17g", *(np.roll(_R, s)[:k] for s in range(5))),
+    "sweep": lambda path, k: (artifacts.write_sweep_csv(path, _Sweep(k)),
+                              "n,quantity,sup_value", "%d,%s,%.17g", *zip(*_Sweep(k).rows())),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, artifacts._ROWS])
+@pytest.mark.parametrize("k", [0, _I.size])
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_row_blocks_change_no_byte(tmp_path, monkeypatch, writer, k, rows):
+    # blocks of one row, of three (which end inside the file) and the default
+    # write the bytes of one join over every row, and hash what they write
+    monkeypatch.setattr(artifacts, "_ROWS", rows)
+    path = tmp_path / "out.csv"
+    digest, header, fmt, *columns = _WRITERS[writer](path, k)
+    lines = zip(*(np.asarray(col).tolist() for col in columns))
+    assert path.read_bytes() == "\n".join([header, *(fmt % line for line in lines), ""]).encode()
+    assert digest == _sha256(path)

@@ -109,6 +109,25 @@ def test_graph_from_edges_rejects_endpoints_outside_the_vertices(u, v):
         graph_from_edges(3, u, v)
 
 
+@pytest.mark.parametrize("u,v", [([0, 1], [2]), ([0], [1, 2]), ([[0, 1]], [[1, 2]]), (0, 1)])
+def test_graph_from_edges_rejects_edge_lists_of_other_shapes(u, v):
+    # ([0, 1], [2]) would otherwise broadcast into the edges (0, 2) and (1, 2)
+    with pytest.raises(ValueError, match="1-D and of equal length"):
+        graph_from_edges(3, u, v)
+
+
+def test_graph_from_edges_rejects_a_self_loop():
+    with pytest.raises(ValueError, match="self-loop"):
+        graph_from_edges(3, [0, 1], [2, 1])
+
+
+@pytest.mark.parametrize("u,v", [([0, 1, 0], [1, 2, 1]), ([0, 2, 1], [1, 1, 0])])
+def test_graph_from_edges_rejects_a_repeated_edge(u, v):
+    # the repeat is listed in the same orientation, then flipped
+    with pytest.raises(ValueError, match="repeat"):
+        graph_from_edges(3, u, v)
+
+
 def test_graph_from_edges_rejects_more_entries_than_int32_indexes():
     # a broadcast view holds 2**30 edges in one element each: the bound is met
     # by the length alone, before any scan or allocation
@@ -167,6 +186,38 @@ def test_sample_graph_draws_chunks_until_one_passes_the_last_pair():
     _assert_valid_adjacency(g)
 
 
+_BLOCK_GRAPHS = [(100, 1.0, 5), (200, 1 / 200, 6), (3000, 6e-4, 7), (20_000, 1 / 20_000, 8)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_pair_blocks_change_no_byte(monkeypatch, block):
+    # at p = 1 every row is longer than a block, and at p = 1/n runs end at
+    # most block edges; the CSR and the stream's end state are those of the
+    # default block, and `graph_from_edges` still gives the lexsort CSR
+    def sampled():
+        out = []
+        for n, p, seed in _BLOCK_GRAPHS:
+            rng = make_stream(seed, 0, "graph")
+            g = sample_graph(n, p, rng)
+            out.append((g.indptr.tobytes(), g.indices.tobytes(), rng.random()))
+        return out
+
+    want = sampled()
+    monkeypatch.setattr(graph, "_PAIR_BLOCK", block)
+    assert sampled() == want
+    for n, p, seed in _BLOCK_GRAPHS:
+        rng = np.random.default_rng(seed)
+        g = sample_graph(n, p, make_stream(seed, 0, "graph"))
+        src = np.repeat(np.arange(n), np.diff(g.indptr))
+        lo, hi = src[src < g.indices], g.indices[src < g.indices]
+        flip = rng.random(lo.size) < 0.5
+        order = rng.permutation(lo.size)
+        u, v = np.where(flip, hi, lo)[order], np.where(flip, lo, hi)[order]
+        built = graph_from_edges(n, u, v)
+        indptr, indices = _lexsort_csr(n, u, v)
+        assert np.array_equal(built.indptr, indptr) and np.array_equal(built.indices, indices)
+
+
 def _pair_offset(n, i):
     """Linear index of the first pair (i, i + 1) of row i."""
     return i * n - i * (i + 1) // 2
@@ -211,16 +262,18 @@ def test_sample_graph_csr_bytes_pinned(n, p, seed, digest, after):
     assert rng.random() == after
 
 
-def test_sample_graph_peak_memory_is_below_1_4_int64_csrs():
-    # 8 (n + 1 + 2E) bytes is the CSR held as int64; the int32 CSR is half that
-    n = 200_000
+def test_sample_graph_peak_memory_is_at_most_14_bytes_per_vertex():
+    # at p = 1/n the int32 CSR is about 8 bytes per vertex and the int32
+    # pairs 2 more; int64 endpoint arrays, an n-length int64 count or a
+    # 2E-entry int64 key would each pass the bound (20.1 bytes with all three)
+    n = 10**6
     tracemalloc.start()
     try:
-        g = sample_graph(n, 1 / n, make_stream(1, 0, "graph"))
+        sample_graph(n, 1 / n, make_stream(1, 0, "graph"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * 8 * (n + 1 + 2 * g.edge_count)
+    assert peak <= 14 * n
 
 
 @pytest.mark.parametrize("n,p", [(4, 0.5), (100, 0.02)])
