@@ -24,23 +24,15 @@ class ComparisonReport:
     test_name: str
     statistic: float
     tolerance: float | None = None
-    passed: bool | None = None
     n: int | None = None
     N: int | None = None
     seed: int | None = None
+    passed: bool | None = None
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "test_name": self.test_name,
-            "statistic": self.statistic,
-            "tolerance": self.tolerance,
-            "n": self.n,
-            "N": self.N,
-            "seed": self.seed,
-            "pass": self.passed,
-            "details": self.details,
-        }
+        """The fields in declaration order, ``passed`` under the key "pass"."""
+        return {"pass" if key == "passed" else key: val for key, val in vars(self).items()}
 
 
 def ks_statistic(a, b) -> float:

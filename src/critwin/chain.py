@@ -22,12 +22,14 @@ from .core import (
     ConfigError,
     RngStream,
     RunConfig,
+    _checked_count,
+    _checked_probability,
+    _checked_roots,
     edge_probability,
 )
 
 __all__ = [
     "EpidemicTrace",
-    "q_from_p",
     "simulate_trace",
     "exact_profile_distribution",
     "csn_at_indices",
@@ -51,27 +53,17 @@ class EpidemicTrace:
     truncated: bool
 
 
-def q_from_p(p: float, z: int) -> float:
-    """q = 1 - (1-p)**z, evaluated stably as -expm1(z * log1p(-p))."""
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    if z == 0:
-        return 0.0
-    return -math.expm1(z * math.log1p(-p))
-
-
 def simulate_trace(
     config: RunConfig, max_steps: int | None = None, *, rng: RngStream
 ) -> EpidemicTrace:
     """Run the chain from (k, k) until absorption or max_steps generations.
 
-    max_steps defaults to the window's generation cap.  Non-absorption
+    max_steps, an integer >= 1, defaults to the window's generation cap.  Non-absorption
     within max_steps flags the trace truncated; it is not an error.
     """
     if max_steps is None:
         max_steps = config.window.max_steps(config.n)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    max_steps = _checked_count("max_steps", max_steps, 1)
     n = config.n
     k = config.k
     log_keep = math.log1p(-edge_probability(config.window, n))
@@ -81,7 +73,7 @@ def simulate_trace(
     absorbed_at: int | None = None
     for h in range(1, max_steps + 1):
         # z >= 1 here; at c == n the draw is Binomial(0, q) = 0 and takes no variate
-        z2 = int(rng.binomial(n - c, -math.expm1(z * log_keep)))  # q_from_p(p, z)
+        z2 = int(rng.binomial(n - c, -math.expm1(z * log_keep)))  # q = 1 - (1 - p)**z
         if z2 == 0:
             absorbed_at = h
             break
@@ -105,22 +97,20 @@ def exact_profile_distribution(n: int, k: int, p: float) -> dict:
 
     Paths are zero-terminated at absorption, which every path reaches within
     n generations.  Masses sum to one up to float rounding.  Needs n <= 12
-    (ConfigError), 1 <= k <= n and 0 <= p <= 1 (ValueError), all checked
-    before any enumeration.
+    (ConfigError), integers n and k (TypeError), 1 <= k <= n and 0 <= p <= 1
+    (ValueError), all checked before any enumeration.
     """
     if n > _EXACT_N_LIMIT:
         raise ConfigError(
             f"exact profile distribution is limited to n <= {_EXACT_N_LIMIT} "
             f"(got n={n}); sample with simulate_trace instead"
         )
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0,1], got {p}")
+    k = _checked_roots(k, n)
+    _checked_probability(p)
 
     @lru_cache(maxsize=None)
     def pmf_row(m: int, z: int) -> tuple:
-        q = q_from_p(p, z)
+        q = -math.expm1(z * math.log1p(-p))  # 1 - (1 - p)**z, z >= 1
         return tuple(math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1))
 
     out: dict = {}

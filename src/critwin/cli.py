@@ -56,17 +56,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--x", type=float)
         p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--epsilon", type=float, help="drifting window p = (1 + lambda eps)/n")
         p.add_argument("--seed", type=int)
         p.add_argument("--replicates", type=int, default=1)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
+    def add_model_flags(p):
+        p.add_argument("--n", type=int)
+        p.add_argument("--x", type=float)
+        p.add_argument("--epsilon", type=float, help="drifting window p = (1 + lambda eps)/n")
+        add_run_flags(p)
+
     p_graph = sub.add_parser("simulate-graph", help="sample graphs and explore them")
-    add_run_flags(p_graph)
+    add_model_flags(p_graph)
     p_graph.add_argument(
         "--walk",
         action="store_true",
@@ -74,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_chain = sub.add_parser("simulate-chain", help="simulate the height-profile chain")
-    add_run_flags(p_chain)
+    add_model_flags(p_chain)
     p_chain.add_argument("--max-steps", type=int)
 
     p_cont = sub.add_parser("continuum", help="simulate continuum limit objects")
@@ -84,13 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("sde", "parabolic", "lamperti", "hitting", "deterministic"),
     )
     p_cont.add_argument("--x", type=float, default=1.0)
-    p_cont.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_cont.add_argument("--dt", type=float, default=1e-4)
     p_cont.add_argument("--t-max", type=float, default=2.0)
-    p_cont.add_argument("--seed", type=int)
-    p_cont.add_argument("--replicates", type=int, default=1)
-    p_cont.add_argument("--threads", type=int, default=1)
-    p_cont.add_argument("--out", type=Path, required=True)
+    add_run_flags(p_cont)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True)
@@ -108,7 +107,7 @@ def _seed(given: int | None, default: int | None = 0) -> int | None:
         try:
             given = default if raw is None else int(raw)
         except ValueError as exc:
-            raise ConfigError(f"CW_SEED must be an integer, got {raw!r}") from exc
+            raise ConfigError(f"CW_SEED must hold an integer, got {raw!r}") from exc
     return given
 
 

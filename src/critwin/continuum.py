@@ -50,13 +50,12 @@ stream (or its jumped copy), which keeps them deterministic given (seed, label).
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, _checked_count
 
 __all__ = [
     "SdePath",
@@ -174,12 +173,7 @@ def _first_passage(x: float, lam: float, dt: float, m: int, n_paths: int, rng: R
     ``n_paths`` must be an integer >= 0, checked before any draw.
     """
     _checked_start(x, lam)
-    try:
-        n_paths = operator.index(n_paths)
-    except TypeError:
-        raise TypeError(f"n_paths must be an integer, got {n_paths!r}") from None
-    if n_paths < 0:
-        raise ValueError(f"need n_paths >= 0, got {n_paths}")
+    n_paths = _checked_count("n_paths", n_paths, 0)
     if n_paths < 2:
         return _shard(x, lam, dt, m, n_paths, rng, t_at)
     upper = np.random.Generator(rng.bit_generator.jumped())
@@ -467,9 +461,9 @@ def sde_ensemble(
     next za.size normals from a `_DrawAhead`: the values, and the end state
     of ``rng``, of one draw per step.
     """
-    n_steps = operator.index(n_steps)
-    if not (0.0 < dt < math.inf and n_steps >= 0):
-        raise ValueError(f"need 0 < dt < inf and n_steps >= 0, got dt={dt}, n_steps={n_steps}")
+    n_steps = _checked_count("n_steps", n_steps, 0)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"need 0 < dt < inf, got dt={dt}")
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     n = z0.size
     lam_v = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,)).copy()

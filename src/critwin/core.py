@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -183,6 +184,31 @@ def edge_probability(window: CriticalWindow, n: int) -> float:
     return p
 
 
+def _checked_count(name: str, value, low: int) -> int:
+    """``value`` as an int: TypeError unless it is an integer, ValueError below ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
+    return value
+
+
+def _checked_roots(k, n) -> int:
+    """``k`` as an int, checked as a root count among n vertices: 1 <= k <= n, integers."""
+    k = _checked_count("k", k, 1)
+    if k > _checked_count("n", n, 1):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return k
+
+
+def _checked_probability(p) -> None:
+    """ValueError unless 0 <= p <= 1 (so a NaN fails)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0,1], got {p}")
+
+
 def _floor_guarded(y: float) -> int:
     """floor(y) robust to the argument sitting a few ulps below an integer."""
     k = math.floor(y)
@@ -200,8 +226,10 @@ class RunConfig:
     window: CriticalWindow
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+        try:
+            _checked_count("n", self.n, 1)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         if not 0 < self.x < math.inf:
             raise ConfigError(f"x must be finite and > 0, got {self.x}")
 

@@ -20,12 +20,11 @@ per step; a test holds it to that scalar loop.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, _checked_count, _checked_probability, _checked_roots
 
 __all__ = [
     "GraphSample",
@@ -114,16 +113,17 @@ class WalkPath:
 def graph_from_edges(n: int, u, v) -> GraphSample:
     """Assemble CSR adjacency from a simple graph's edge list.
 
-    ``u`` and ``v`` must be 1-D and of equal length, and they list each edge
-    once, in any order and either orientation.  Every endpoint must lie in
-    [0, n), and a self-loop or a repeated edge is refused (ValueError for
-    each).  ``indptr`` and ``indices`` are int32, so n and twice the edge
-    count may each be at most 2**31 - 1; the shapes and both bounds are
-    checked before anything is allocated.  The edges are sorted as (min, max)
+    ``u`` and ``v`` must be 1-D, of equal length and of an integer dtype
+    (or empty), and they list each edge once, in any order and either
+    orientation.  Every endpoint must lie in [0, n), and a self-loop or a
+    repeated edge is refused (ValueError for each).  ``indptr`` and
+    ``indices`` are int32, so n and twice the edge count may each be at most
+    2**31 - 1; the dtypes, the shapes and both bounds are checked before the
+    CSR is allocated.  The edges are sorted as (min, max)
     pairs and handed to `_csr`.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u = _vertex_ids("u", u)
+    v = _vertex_ids("v", v)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"u and v must be 1-D and of equal length, got {u.shape} and {v.shape}")
     _checked_order(n, 2 * u.size)
@@ -141,6 +141,14 @@ def graph_from_edges(n: int, u, v) -> GraphSample:
     np.right_shift(key, 32, out=pairs[:, 0], casting="unsafe")
     np.bitwise_and(key, 0xFFFFFFFF, out=pairs[:, 1], casting="unsafe")
     return _csr(n, pairs)
+
+
+def _vertex_ids(name: str, ids) -> np.ndarray:
+    """``ids`` as int64; ValueError unless empty or integer, so no fraction is truncated."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer vertex ids, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
 
 
 def _checked_order(n: int, entries: int = 0) -> None:
@@ -251,15 +259,14 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
     time, each block's int32 (i, j) written over the bytes its indices held,
     and `_csr` builds the CSR in that buffer; so no int64 endpoint array is
     made, and the peak traced memory is about 13 bytes per vertex at p = 1/n.
-    n must be at most 2**31 - 1, checked before any draw; so is twice the
-    edge count, which is refused before any draw where its mean less 10
-    standard deviations already passes the bound, and by `_csr` otherwise.
+    n must be an integer in [1, 2**31 - 1] and p must lie in [0, 1], checked
+    before any draw; so is twice the edge count, which is refused before any
+    draw where its mean less 10 standard deviations already passes the
+    bound, and by `_csr` otherwise.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _checked_count("n", n, 1)
     _checked_order(n)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0,1], got {p}")
+    _checked_probability(p)
     m = n * (n - 1) // 2
     if m == 0 or p == 0.0:
         return graph_from_edges(n, [], [])
@@ -285,16 +292,14 @@ def sample_graph(n: int, p: float, rng: RngStream) -> GraphSample:
 
 
 def explore_from_roots(graph: GraphSample, roots) -> Exploration:
-    """Breadth-first exploration from distinct roots in [0, n), read flattened.
+    """Breadth-first exploration from 1 to n distinct integer roots in [0, n), read flattened.
 
     One insertion-ordered dict, vertex -> height, is the visited set and the
     order, so the working memory is O(explored vertices), not O(n).
     """
-    roots = np.asarray(roots, dtype=np.int64).ravel()
-    k = roots.size
+    roots = _vertex_ids("roots", roots).ravel()
+    k = _checked_roots(roots.size, graph.n)
     n = graph.n
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     queue = roots.tolist()
     height = dict.fromkeys(queue, 0)
     if len(height) != k:
@@ -330,9 +335,8 @@ def _choose_roots(n: int, k: int, rng: RngStream) -> np.ndarray:
 
 
 def explore(graph: GraphSample, k: int, rng: RngStream) -> Exploration:
-    """Explore from k uniformly chosen roots (without replacement)."""
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
+    """Explore from k uniformly chosen roots (without replacement), checked before any draw."""
+    k = _checked_roots(k, graph.n)
     return explore_from_roots(graph, _choose_roots(graph.n, k, rng))
 
 
@@ -358,13 +362,7 @@ def breadth_first_walk(
     integer >= 0, checked before any draw.
     """
     n = graph.n
-    if max_steps is None:
-        limit = n
-    else:
-        max_steps = operator.index(max_steps)
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-        limit = min(max_steps, n)
+    limit = n if max_steps is None else min(_checked_count("max_steps", max_steps, 0), n)
     perm = rng.permutation(n)
     seen = np.zeros(n, dtype=bool)
     queue = np.empty(n, dtype=graph.indices.dtype)
@@ -425,8 +423,8 @@ def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
     which one does not matter.  So the walk is a Markov chain in (queue,
     seen), equal in law to ``breadth_first_walk(sample_graph(n, p, ...), ...,
     max_steps=steps)``, at one binomial draw per step.  ``steps`` is capped
-    at n; ``n`` and ``steps`` must be integers, and a bad argument raises
-    before any draw.
+    at n; ``n`` >= 1 and ``steps`` >= 0 must be integers and p must lie in
+    [0, 1], all checked before any draw.
 
     The draws are made ``_WALK_BLOCK`` steps at a time.  The components
     opened before step i are 1 - min(X[0..i-1]), and seen = the children
@@ -442,14 +440,9 @@ def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
     stream is left in, are therefore exactly those of one scalar draw per
     step.
     """
-    n = operator.index(n)
-    steps = operator.index(steps)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0,1], got {p}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    n = _checked_count("n", n, 1)
+    steps = _checked_count("steps", steps, 0)
+    _checked_probability(p)
     limit = min(steps, n)
     bit_generator = rng.bit_generator
     X = np.zeros(limit + 1, dtype=np.int64)
@@ -457,9 +450,7 @@ def walk_chain(n: int, p: float, steps: int, rng: RngStream) -> WalkPath:
     for lo in range(0, limit, _WALK_BLOCK):
         hi = min(lo + _WALK_BLOCK, limit)
         start = bit_generator.state
-        # the trials of the all-ones guess, in closed form
-        used = n - drawn - 1 + min(int(X[lo]), low) - np.arange(hi - lo)
-        np.maximum(used, 0, out=used)
+        used = _block_trials(np.ones(hi - lo, dtype=np.int64), n, drawn, X[lo], low)
         while True:
             bit_generator.state = start
             children = rng.binomial(used, p)

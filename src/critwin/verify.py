@@ -53,6 +53,8 @@ from .core import (
     GeneralWindow,
     InvalidWindowError,
     RunConfig,
+    _checked_probability,
+    _checked_roots,
     _checked_seed,
     edge_probability,
     make_stream,
@@ -89,6 +91,11 @@ def total_variation(dist_a: dict, dist_b: dict) -> float:
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
 
 
+def _noise_floor(N: int) -> float:
+    """The two-sample KS statistic's 95% critical value for two samples of N."""
+    return 1.36 * math.sqrt(2.0 / N)
+
+
 # n = 7 would mean 2**21 graphs times up to 35 root sets.
 _ENUMERATION_N_LIMIT = 6
 
@@ -123,18 +130,16 @@ def _profile_table(n: int, k: int):
 def exhaustive_profile_distribution(n: int, k: int, p: float) -> dict:
     """Exact profile law by enumerating all graphs and root subsets.
 
-    Needs 1 <= k <= n and 0 <= p <= 1 (ValueError), and n <= 6
-    (ConfigError), all checked before any enumeration.
+    Needs n <= 6 (ConfigError), integers n and k (TypeError), 1 <= k <= n
+    and 0 <= p <= 1 (ValueError), all checked before any enumeration.
     """
     if n > _ENUMERATION_N_LIMIT:
         raise ConfigError(
             f"graph enumeration is limited to n <= {_ENUMERATION_N_LIMIT} "
             f"(got n={n}); use exact_profile_distribution instead"
         )
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0,1], got {p}")
+    k = _checked_roots(k, n)
+    _checked_probability(p)
     m = n * (n - 1) // 2
     n_rootsets = math.comb(n, k)
     out: dict = {}
@@ -271,8 +276,8 @@ def suite_zlimit(seed: int) -> ComparisonReport:
         N=N,
         seed=seed,
         details={
-            "noise_floor_95": 1.36 * math.sqrt(2.0 / N),
-            "discretization_allowance": ks_tol - 1.36 * math.sqrt(2.0 / N),
+            "noise_floor_95": _noise_floor(N),
+            "discretization_allowance": ks_tol - _noise_floor(N),
             "total_mass_mean": float(mass.mean()),
             "hitting_mean": float(t_hit.mean()),
             "mean_delta": delta,
@@ -301,8 +306,8 @@ def suite_lamperti(seed: int) -> ComparisonReport:
         N=N,
         seed=seed,
         details={
-            "noise_floor_95": 1.36 * math.sqrt(2.0 / N),
-            "discretization_allowance": tol - 1.36 * math.sqrt(2.0 / N),
+            "noise_floor_95": _noise_floor(N),
+            "discretization_allowance": tol - _noise_floor(N),
             "grid_truncated": int(trunc.sum()),
         },
     )
@@ -480,7 +485,7 @@ def suite_selfsim(seed: int) -> ComparisonReport:
             "paths_alive_at_t0": n_alive,
             "mean_delta": float(continued.mean() - restarted.mean()),
             "mean_delta_se": se,
-            "noise_floor_95": 1.36 * math.sqrt(2.0 / n_alive),
+            "noise_floor_95": _noise_floor(n_alive),
         },
     )
 

@@ -13,17 +13,9 @@ from critwin import (
     make_stream,
     simulate_trace,
 )
-from critwin.chain import K_at_indices, csn_at_indices, q_from_p
+from critwin.chain import K_at_indices, csn_at_indices
 from critwin.graph import cousin_series, explore, sample_graph
 from critwin.verify import exhaustive_profile_distribution, total_variation
-
-
-def test_q_from_p_matches_naive_power():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        p = float(rng.uniform(1e-8, 0.99))
-        z = int(rng.integers(0, 300))
-        assert q_from_p(p, z) == pytest.approx(1.0 - (1.0 - p) ** z, rel=1e-10, abs=1e-14)
 
 
 def test_simulate_trace_all_infected_at_start():

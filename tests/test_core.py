@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import critwin
 from critwin import (
     AldousWindow,
     ConfigError,
@@ -111,3 +114,18 @@ def test_run_config_validation():
     with pytest.raises(TypeError):
         RunConfig(n=10, x=1.0, window=w, seed=1)
 
+
+
+def test_run_config_refuses_a_non_integer_n():
+    # unchecked, n = 10000.5 was described as such and sampled from
+    with pytest.raises(ConfigError, match="n must be an integer, got 10000.5"):
+        RunConfig(10000.5, 1.0, AldousWindow(0.0))
+
+
+def test_each_input_rule_is_written_once():
+    # the count, probability and root-set rules live in core's shared checks
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(critwin.__file__).parent.glob("*.py"))}
+    for rule in ("p must lie in [0,1]", "need 1 <= k <= n", "must be an integer, got"):
+        assert sum(text.count(rule) for text in sources.values()) == 1, rule
+    assert [name for name, text in sources.items() if "operator.index(" in text] == ["core.py"]

@@ -1,15 +1,18 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from critwin import (
+    AldousWindow,
     ConfigError,
     GeneralWindow,
     InvalidWindowError,
+    RunConfig,
     breadth_first_walk,
     cousin_series,
     edge_probability,
@@ -19,6 +22,7 @@ from critwin import (
     ks_statistic,
     make_stream,
     sample_graph,
+    simulate_trace,
     walk_chain,
 )
 from critwin import graph, verify
@@ -128,6 +132,14 @@ def test_graph_from_edges_rejects_a_repeated_edge(u, v):
         graph_from_edges(3, u, v)
 
 
+@pytest.mark.parametrize("u,v", [([0.5], [1.7]), ([0, 1], [1.0, 2.0]), ([True], [False])])
+def test_graph_from_edges_refuses_non_integer_vertex_ids(u, v):
+    # unchecked, (0.5, 1.7) was truncated to the edge 0-1 and True to vertex 1
+    with pytest.raises(ValueError, match="[uv] must hold integer vertex ids"):
+        graph_from_edges(3, u, v)
+    assert graph_from_edges(3, [], []).edge_count == 0
+
+
 def test_graph_from_edges_rejects_more_entries_than_int32_indexes():
     # a broadcast view holds 2**30 edges in one element each: the bound is met
     # by the length alone, before any scan or allocation
@@ -143,15 +155,10 @@ def test_graph_from_edges_rejects_n_beyond_int32():
 
 
 class _NoDraws:
-    """Stands in for `sample_graph`'s stream: fails on any draw."""
+    """Stands in for a sampler's stream: fails on any draw, or any other use."""
 
-    def geometric(self, p, size):
-        raise AssertionError("sample_graph drew before checking its input")
-
-
-def test_sample_graph_rejects_n_beyond_int32_before_any_draw():
-    with pytest.raises(ValueError, match="int32"):
-        sample_graph(2**31, 2**-31, _NoDraws())
+    def __getattr__(self, name):
+        raise AssertionError(f"the sampler used its stream's {name} before checking its input")
 
 
 def test_sample_graph_refuses_too_many_expected_entries_before_any_draw(monkeypatch):
@@ -337,6 +344,13 @@ def test_explore_working_memory_is_that_of_the_explored_vertices():
     assert expl.order.tolist() == list(range(2000))
     assert expl.heights.tolist() == list(range(2000))
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("roots", [[0.5], [0, 1.0], [True]])
+def test_explore_from_roots_refuses_non_integer_roots(roots):
+    # unchecked, 0.5 was truncated to the root 0
+    with pytest.raises(ValueError, match="roots must hold integer vertex ids"):
+        explore_from_roots(path_graph(), roots)
 
 
 @pytest.mark.parametrize("roots", [[-1], [2, -3], [4], [0, 7]])
@@ -561,14 +575,6 @@ def test_walk_chain_steps_capped_at_n():
     assert walk_chain(5, 0.5, 0, make_stream(2, 0, "w")).X.tolist() == [0]
 
 
-@pytest.mark.parametrize("n,p,steps", [
-    (0, 0.5, 1), (3, -0.1, 1), (3, 1.5, 1), (3, float("nan"), 1), (3, 0.5, -1),
-])
-def test_walk_chain_rejects_bad_arguments(n, p, steps):
-    with pytest.raises(ValueError):
-        walk_chain(n, p, steps, make_stream(1, 0, "w"))
-
-
 def _walk_chain_reference(n, p, steps, rng):
     """`walk_chain` as one scalar binomial draw per step: the oracle for its
     blocked draws, which must give the same walk and leave ``rng`` in the
@@ -646,30 +652,71 @@ def test_walk_chain_conjecture_walks_bytes_pinned():
         assert hashlib.sha256(walk.X.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n,steps", [(10, 2.5), (10.5, 3), (10, 2.0)])
-def test_walk_chain_rejects_non_integer_counts(n, steps):
-    rng = make_stream(1, 0, "w")
-    before = repr(rng.bit_generator.state)
-    with pytest.raises(TypeError):
-        walk_chain(n, 0.3, steps, rng)
-    assert repr(rng.bit_generator.state) == before
-
-
 def test_walk_chain_takes_numpy_integers():
     walk = walk_chain(np.int64(10), 0.3, np.int32(4), make_stream(1, 0, "w"))
     assert walk.X.size == 5
 
 
-@pytest.mark.parametrize("max_steps,error", [
-    (-1, ValueError), (-5, ValueError), (2.5, TypeError),
-])
-def test_breadth_first_walk_rejects_bad_max_steps(max_steps, error):
-    g = sample_graph(10, 0.3, make_stream(1, 0, "g"))
-    rng = make_stream(1, 0, "w")
-    before = repr(rng.bit_generator.state)
-    with pytest.raises(error):
-        breadth_first_walk(g, rng, max_steps=max_steps)
-    assert repr(rng.bit_generator.state) == before
+_CHAIN = RunConfig(1000, 1.0, AldousWindow(0.0))
+
+# Each sampler with a bad count, a bad p or a non-integer: the call on a
+# stream, the error it must raise before any draw, and that error's message.
+_BAD_INPUTS = {
+    "sample_graph-n-0": (lambda rng: sample_graph(0, 0.5, rng), ValueError, "need n >= 1, got 0"),
+    "sample_graph-n-2**31": (lambda rng: sample_graph(2**31, 2**-31, rng), ValueError,
+                             "n must be <= 2147483647 for int32 adjacency"),
+    "sample_graph-p-1.5": (lambda rng: sample_graph(10, 1.5, rng), ValueError,
+                           "p must lie in [0,1], got 1.5"),
+    "sample_graph-p-nan": (lambda rng: sample_graph(10, math.nan, rng), ValueError,
+                           "p must lie in [0,1], got nan"),
+    "sample_graph-n-10.5": (lambda rng: sample_graph(10.5, 0.5, rng), TypeError,
+                            "n must be an integer, got 10.5"),
+    "explore-k-0": (lambda rng: explore(path_graph(), 0, rng), ValueError, "need k >= 1, got 0"),
+    "explore-k-4": (lambda rng: explore(path_graph(), 4, rng), ValueError,
+                    "need 1 <= k <= n, got k=4, n=3"),
+    "explore-k-2.5": (lambda rng: explore(path_graph(), 2.5, rng), TypeError,
+                      "k must be an integer, got 2.5"),
+    "breadth_first_walk-max_steps--1": (lambda rng: breadth_first_walk(path_graph(), rng, -1),
+                                        ValueError, "need max_steps >= 0, got -1"),
+    "breadth_first_walk-max_steps--5": (lambda rng: breadth_first_walk(path_graph(), rng, -5),
+                                        ValueError, "need max_steps >= 0, got -5"),
+    "breadth_first_walk-max_steps-2.5": (lambda rng: breadth_first_walk(path_graph(), rng, 2.5),
+                                         TypeError, "max_steps must be an integer, got 2.5"),
+    "walk_chain-n-0": (lambda rng: walk_chain(0, 0.5, 1, rng), ValueError, "need n >= 1, got 0"),
+    "walk_chain-steps--1": (lambda rng: walk_chain(3, 0.5, -1, rng), ValueError,
+                            "need steps >= 0, got -1"),
+    "walk_chain-p--0.1": (lambda rng: walk_chain(3, -0.1, 1, rng), ValueError,
+                          "p must lie in [0,1], got -0.1"),
+    "walk_chain-p-1.5": (lambda rng: walk_chain(3, 1.5, 1, rng), ValueError,
+                         "p must lie in [0,1], got 1.5"),
+    "walk_chain-p-nan": (lambda rng: walk_chain(3, math.nan, 1, rng), ValueError,
+                         "p must lie in [0,1], got nan"),
+    "walk_chain-n-10.5": (lambda rng: walk_chain(10.5, 0.3, 3, rng), TypeError,
+                          "n must be an integer, got 10.5"),
+    "walk_chain-steps-2.5": (lambda rng: walk_chain(10, 0.3, 2.5, rng), TypeError,
+                             "steps must be an integer, got 2.5"),
+    "walk_chain-steps-2.0": (lambda rng: walk_chain(10, 0.3, 2.0, rng), TypeError,
+                             "steps must be an integer, got 2.0"),
+    "simulate_trace-max_steps-0": (lambda rng: simulate_trace(_CHAIN, 0, rng=rng), ValueError,
+                                   "need max_steps >= 1, got 0"),
+    "simulate_trace-max_steps-2.5": (lambda rng: simulate_trace(_CHAIN, 2.5, rng=rng),
+                                     TypeError, "max_steps must be an integer, got 2.5"),
+    "simulate_trace-p-negative": (
+        lambda rng: simulate_trace(RunConfig(2, 1.0, AldousWindow(-5.0)), rng=rng),
+        InvalidWindowError, "outside (0,1) for n=2, lambda=-5.0"),
+    "simulate_trace-n-10000.5": (
+        lambda rng: simulate_trace(RunConfig(10000.5, 1.0, AldousWindow(0.0)), rng=rng),
+        ConfigError, "n must be an integer, got 10000.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_a_bad_sampler_input_is_rejected_before_any_draw(case):
+    # unchecked, sample_graph(10.5, ...) drew before numpy's UFuncTypeError,
+    # explore(g, 2.5, ...) failed inside numpy, and RunConfig took n = 10000.5
+    call, error, message = _BAD_INPUTS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call(_NoDraws())
 
 
 def test_walk_chain_matches_graph_walk_at_scale():
@@ -821,6 +868,15 @@ def test_exhaustive_profile_distribution_rejects_bad_arguments(n, k, p):
     for law in (exhaustive_profile_distribution, exact_profile_distribution):
         with pytest.raises(ValueError):
             law(n, k, p)
+
+
+@pytest.mark.parametrize("n,k,message", [(4.0, 1, "n must be an integer, got 4.0"),
+                                         (4, 1.0, "k must be an integer, got 1.0")])
+def test_exact_laws_refuse_non_integer_counts_before_enumerating(n, k, message):
+    # unchecked, math.comb or range raised a TypeError mid-enumeration
+    for law in (exhaustive_profile_distribution, exact_profile_distribution):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            law(n, k, 0.5)
 
 
 def test_exhaustive_profile_distribution_refuses_n_above_six():
