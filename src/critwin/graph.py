@@ -404,10 +404,10 @@ def _block_trials(children, n, drawn, x0, low):
     """
     before = np.cumsum(children)
     before -= children
-    x = before - np.arange(children.size)
-    x += x0
+    x = before + np.arange(x0, x0 - children.size, -1)  # X at each step
     # seen = drawn + before + (1 - min(X up to the step)), so trials = n - seen
-    np.minimum.accumulate(x, out=x)
+    if x.min() < low:  # else min(low, X up to the step) is low at every step
+        np.minimum.accumulate(x, out=x)
     np.minimum(x, low, out=x)
     x -= before
     x += n - drawn - 1
